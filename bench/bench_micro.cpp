@@ -1,14 +1,45 @@
 // Micro-benchmarks (google-benchmark) for the primitives underneath the
-// paper's numbers: Bloom filter ops, hashing, SQL engine ops, wire codec
-// and wildcard matching.
+// paper's numbers: Bloom filter ops, hashing, SQL engine ops, wire codec,
+// wildcard matching, and the LRC/RLI stores below the RPC layer.
+//
+// The store benchmarks report `allocs_per_op` (or `allocs_per_name`):
+// heap allocations per operation, counted by the replacement operator
+// new below over a fixed, seeded run of operations after a warm-up, so
+// the count repeats exactly from run to run.
 #include <benchmark/benchmark.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include "bloom/bloom_filter.h"
+#include "common/rng.h"
 #include "common/strings.h"
 #include "common/workload.h"
 #include "net/serialize.h"
+#include "rls/lrc_store.h"
 #include "rls/protocol.h"
+#include "rls/rli_store.h"
 #include "sql/engine.h"
+
+namespace {
+
+std::atomic<uint64_t> g_allocations{0};
+
+void* CountedAlloc(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+
+}  // namespace
+
+void* operator new(std::size_t size) { return CountedAlloc(size); }
+void* operator new[](std::size_t size) { return CountedAlloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -153,6 +184,116 @@ void BM_SqlThreeWayJoin(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SqlThreeWayJoin);
+
+/// Heap allocations per call of fn(i), i in [0, ops), after `warmup`
+/// uncounted calls (which build the statement plans).
+template <typename Fn>
+double AllocationsPerCall(uint64_t warmup, uint64_t ops, Fn&& fn) {
+  for (uint64_t i = 0; i < warmup; ++i) fn(i);
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (uint64_t i = 0; i < ops; ++i) fn(warmup + i);
+  return static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before) /
+         static_cast<double>(ops);
+}
+
+constexpr uint64_t kLrcPreload = 20000;
+
+/// An LRC store (MySQL profile, in-memory WAL) preloaded with one
+/// mapping per logical name, plus the names, generated up front.
+struct LrcFixture {
+  dbapi::Environment env;
+  std::unique_ptr<rls::LrcStore> store;
+  std::vector<std::string> logical;
+
+  LrcFixture() {
+    rlscommon::NameGenerator gen("micro");
+    (void)env.CreateDatabase("mysql://micro_lrc");
+    (void)rls::LrcStore::Create(env, "mysql://micro_lrc", &store);
+    std::vector<rls::Mapping> batch;
+    rls::BulkStatusResponse status;
+    for (uint64_t i = 0; i < kLrcPreload; ++i) {
+      logical.push_back(gen.LogicalName(i));
+      batch.push_back(rls::Mapping{logical.back(), gen.PhysicalName(i)});
+      if (batch.size() == 1000) {
+        (void)store->CreateMappings(batch, &status);
+        batch.clear();
+      }
+    }
+  }
+};
+
+/// LrcStore::QueryLogical below the RPC layer: one hot key, or keys
+/// drawn uniformly from the preload.
+void BM_LrcQueryLogical(benchmark::State& state) {
+  const bool hot = state.range(0) == 0;
+  LrcFixture f;
+  std::vector<uint64_t> keys(4096);
+  rlscommon::Xoshiro256 rng(7);
+  for (uint64_t& k : keys) k = hot ? 42 : rng.Below(kLrcPreload);
+  std::vector<std::string> targets;
+  auto query = [&](uint64_t i) {
+    benchmark::DoNotOptimize(
+        f.store->QueryLogical(f.logical[keys[i % keys.size()]], &targets));
+  };
+  state.counters["allocs_per_op"] = AllocationsPerCall(100, 1000, query);
+  uint64_t i = 0;
+  for (auto _ : state) query(i++);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LrcQueryLogical)->Arg(0)->Arg(1)->ArgName("uniform");
+
+/// CreateMapping -> DeleteMapping of a fresh name (one op = the pair).
+void BM_LrcCreateDelete(benchmark::State& state) {
+  LrcFixture f;
+  rlscommon::NameGenerator fresh("micro-fresh");
+  std::vector<std::pair<std::string, std::string>> names;
+  for (uint64_t i = 0; i < 4096; ++i) {
+    names.emplace_back(fresh.LogicalName(i), fresh.PhysicalName(i));
+  }
+  auto pair = [&](uint64_t i) {
+    const auto& [lfn, pfn] = names[i % names.size()];
+    benchmark::DoNotOptimize(f.store->CreateMapping(lfn, pfn));
+    benchmark::DoNotOptimize(f.store->DeleteMapping(lfn, pfn));
+  };
+  state.counters["allocs_per_op"] = AllocationsPerCall(100, 1000, pair);
+  uint64_t i = 0;
+  for (auto _ : state) pair(i++);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LrcCreateDelete);
+
+/// RliRelationalStore::UpsertBatch, per name, in batches of 1000 names
+/// from one LRC: arg 0 = first ingest of fresh names, 1 = refresh of
+/// names already held (20k of them, so a refresh walks a 20k-entry
+/// t_map.lrc_id key).
+void BM_RliUpsertBatch(benchmark::State& state) {
+  constexpr uint64_t kBatch = 1000, kHeld = 20000;
+  const bool refresh = state.range(0) == 1;
+  dbapi::Environment env;
+  std::unique_ptr<rls::RliRelationalStore> store;
+  (void)env.CreateDatabase("mysql://micro_rli");
+  (void)rls::RliRelationalStore::Create(env, "mysql://micro_rli", &store);
+  rlscommon::NameGenerator gen("micro");
+  std::vector<std::vector<std::string>> batches;
+  const uint64_t held_batches = refresh ? kHeld / kBatch : 0;
+  for (uint64_t b = 0; b < held_batches + 64; ++b) {
+    batches.push_back(gen.LogicalNames(b * kBatch, (b + 1) * kBatch));
+  }
+  int64_t now = 1;
+  for (uint64_t b = 0; b < held_batches; ++b) {
+    (void)store->UpsertBatch(batches[b], "rls://lrc0", now);
+  }
+  // Refresh cycles over the held names; first ingest walks fresh ones.
+  auto upsert = [&](uint64_t i) {
+    const uint64_t b = refresh ? i % held_batches : held_batches + i % 64;
+    benchmark::DoNotOptimize(store->UpsertBatch(batches[b], "rls://lrc0", ++now));
+  };
+  state.counters["allocs_per_name"] = AllocationsPerCall(1, 2, upsert) / kBatch;
+  uint64_t i = 3;
+  for (auto _ : state) upsert(i++);
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations() * kBatch));
+}
+BENCHMARK(BM_RliUpsertBatch)->Arg(0)->Arg(1)->ArgName("refresh")->Iterations(40);
 
 void BM_WireEncodeMappingBatch(benchmark::State& state) {
   rlscommon::NameGenerator gen("micro");

@@ -151,8 +151,10 @@ fi
 for config in "${configs[@]}"; do
   case "$config" in
     plain)
+      # The plain build is also the warning gate: any compiler warning
+      # fails it.
       dir=build-check
-      flags=(-DRLS_SANITIZE=)
+      flags=(-DRLS_SANITIZE= -DRLS_WERROR=ON)
       ;;
     thread)
       dir=build-check-tsan

@@ -82,17 +82,17 @@ Status Connection::Open(Environment& env, const std::string& dsn,
   return Status::Ok();
 }
 
-Status Connection::Execute(const std::string& sql_text,
+Status Connection::Execute(std::string_view sql_text,
                            const std::vector<rdb::Value>& params,
                            sql::ResultSet* result) {
   auto it = statement_cache_.find(sql_text);
   if (it == statement_cache_.end()) {
-    sql::Statement stmt;
-    Status s = sql::Parse(sql_text, &stmt);
+    sql::PreparedStatement prepared;
+    Status s = sql::Parse(sql_text, &prepared.stmt);
     if (!s.ok()) return s;
-    it = statement_cache_.emplace(sql_text, std::move(stmt)).first;
+    it = statement_cache_.emplace(std::string(sql_text), std::move(prepared)).first;
   }
-  return engine_.Execute(it->second, params, &session_, result);
+  return engine_.Execute(&it->second, params, &session_, result);
 }
 
 Status Connection::Begin() {
@@ -112,7 +112,7 @@ Status Connection::Rollback() {
 
 Status Connection::Vacuum(const std::string& table) {
   sql::ResultSet rs;
-  return Execute(table.empty() ? "VACUUM" : "VACUUM " + table, &rs);
+  return Execute(table.empty() ? std::string("VACUUM") : "VACUUM " + table, &rs);
 }
 
 }  // namespace dbapi

@@ -17,6 +17,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/error.h"
@@ -67,22 +68,27 @@ class Environment {
 };
 
 /// A connection: SQL in, ResultSets out. Caches prepared statements by
-/// SQL text so hot-path statements parse once.
+/// SQL text, so a hot-path statement is parsed and planned once per
+/// connection and replanned only after a schema change (sql/engine.h).
 class Connection {
  public:
   /// Opens a connection to an existing DSN in `env`.
   static rlscommon::Status Open(Environment& env, const std::string& dsn,
                                 std::unique_ptr<Connection>* out);
 
-  /// Executes one statement with positional '?' parameters.
-  rlscommon::Status Execute(const std::string& sql,
+  /// Executes one statement with positional '?' parameters. The SQL
+  /// text is copied only the first time it is seen.
+  rlscommon::Status Execute(std::string_view sql,
                             const std::vector<rdb::Value>& params,
                             sql::ResultSet* result);
 
   /// Parameterless convenience.
-  rlscommon::Status Execute(const std::string& sql, sql::ResultSet* result) {
+  rlscommon::Status Execute(std::string_view sql, sql::ResultSet* result) {
     return Execute(sql, {}, result);
   }
+
+  /// Distinct statement texts cached on this connection.
+  std::size_t cached_statements() const { return statement_cache_.size(); }
 
   rlscommon::Status Begin();
   rlscommon::Status Commit();
@@ -128,7 +134,16 @@ class Connection {
   rdb::Database* db_;
   sql::Engine engine_;
   sql::Session session_;
-  std::unordered_map<std::string, sql::Statement> statement_cache_;
+  /// Hashes std::string and std::string_view alike, so lookups by view
+  /// need no temporary string.
+  struct TextHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view text) const {
+      return std::hash<std::string_view>{}(text);
+    }
+  };
+  std::unordered_map<std::string, sql::PreparedStatement, TextHash, std::equal_to<>>
+      statement_cache_;
 };
 
 }  // namespace dbapi

@@ -54,6 +54,7 @@ Status Database::CreateTable(TableSchema schema) {
     return Status::InvalidArgument("table " + table + " has no columns");
   }
   tables_.emplace(table, std::make_unique<Table>(std::move(schema), &profile_));
+  schema_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 
@@ -62,7 +63,18 @@ Status Database::DropTable(const std::string& table) {
   auto it = tables_.find(table);
   if (it == tables_.end()) return Status::NotFound("no table " + table);
   tables_.erase(it);
+  schema_epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
+}
+
+Status Database::CreateIndex(const std::string& table, const std::string& index_name,
+                             const std::string& column, IndexKind kind, bool unique) {
+  Table* t = GetTable(table);
+  if (!t) return Status::Database("no table " + table);
+  std::unique_lock<std::shared_mutex> lock(t->mutex());
+  Status s = t->CreateIndex(index_name, column, kind, unique);
+  if (s.ok()) schema_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  return s;
 }
 
 Table* Database::GetTable(const std::string& table) {

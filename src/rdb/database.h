@@ -3,6 +3,7 @@
 // the dbapi layer.
 #pragma once
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -77,6 +78,19 @@ class Database {
   rlscommon::Status CreateTable(TableSchema schema);
   rlscommon::Status DropTable(const std::string& table);
 
+  /// Creates a secondary index on `table` under its exclusive lock.
+  rlscommon::Status CreateIndex(const std::string& table,
+                                const std::string& index_name,
+                                const std::string& column, IndexKind kind,
+                                bool unique);
+
+  /// Moves on every catalog change a compiled SQL plan depends on:
+  /// CREATE TABLE, DROP TABLE and CREATE INDEX. A plan stamped with an
+  /// older epoch is rebuilt before it runs.
+  uint64_t schema_epoch() const {
+    return schema_epoch_.load(std::memory_order_acquire);
+  }
+
   /// Looks up a table; nullptr if absent. Pointers stay valid until
   /// DropTable (tables are never reallocated).
   Table* GetTable(const std::string& table);
@@ -115,6 +129,7 @@ class Database {
   Wal wal_;
   mutable std::mutex catalog_mu_;
   std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::atomic<uint64_t> schema_epoch_{1};
   std::mutex recover_mu_;
   RecoveryStats recovery_stats_;
   /// See LockTxnGateShared(). Shared holders are short (one statement's

@@ -26,6 +26,12 @@ bool HashIndex::Insert(const Value& key, Rid rid) {
     }
   }
   bucket.push_back(Entry{hash, key, rid, /*dead=*/false});
+  if (!hints_.empty()) {
+    auto hint = hints_.find(BucketFor(hash));
+    if (hint != hints_.end()) {
+      hint->second[PackRid(rid)] = static_cast<uint32_t>(bucket.size() - 1);
+    }
+  }
   ++stats_.live_entries;
   MaybeGrow();
   return true;
@@ -33,21 +39,52 @@ bool HashIndex::Insert(const Value& key, Rid rid) {
 
 void HashIndex::Erase(const Value& key, Rid rid) {
   const uint64_t hash = key.Hash();
-  auto& bucket = buckets_[BucketFor(hash)];
-  for (std::size_t i = 0; i < bucket.size(); ++i) {
-    stats_.probe_steps.fetch_add(1, std::memory_order_relaxed);
-    Entry& e = bucket[i];
-    if (e.dead || e.hash != hash || !(e.rid == rid) || !(e.key == key)) continue;
-    if (mode_ == IndexDeleteMode::kErase) {
-      bucket[i] = std::move(bucket.back());
-      bucket.pop_back();
-    } else {
-      e.dead = true;
-      ++stats_.tombstones;
+  const std::size_t b = BucketFor(hash);
+  auto& bucket = buckets_[b];
+  auto matches = [&](const Entry& e) {
+    return !e.dead && e.hash == hash && e.rid == rid && e.key == key;
+  };
+  std::size_t i = bucket.size();
+  RidPositions* hint = nullptr;
+  if (bucket.size() > kHintedChain) {
+    auto [it, fresh] = hints_.try_emplace(b);
+    hint = &it->second;
+    if (fresh) {
+      // First erase in a long bucket: index every rid once, so this and
+      // later erases cost one step each instead of a chain walk.
+      for (std::size_t j = 0; j < bucket.size(); ++j) {
+        (*hint)[PackRid(bucket[j].rid)] = static_cast<uint32_t>(j);
+      }
+      stats_.probe_steps.fetch_add(bucket.size(), std::memory_order_relaxed);
     }
-    --stats_.live_entries;
-    return;
+    auto pos = hint->find(PackRid(rid));
+    stats_.probe_steps.fetch_add(1, std::memory_order_relaxed);
+    if (pos != hint->end() && pos->second < bucket.size() &&
+        matches(bucket[pos->second])) {
+      i = pos->second;
+    }
+  } else if (!hints_.empty()) {
+    hints_.erase(b);  // short again: erases below would leave its hints stale
   }
+  if (i == bucket.size()) {
+    for (i = 0; i < bucket.size(); ++i) {
+      stats_.probe_steps.fetch_add(1, std::memory_order_relaxed);
+      if (matches(bucket[i])) break;
+    }
+    if (i == bucket.size()) return;
+  }
+  if (mode_ == IndexDeleteMode::kErase) {
+    bucket[i] = std::move(bucket.back());
+    bucket.pop_back();
+    if (hint) {
+      hint->erase(PackRid(rid));
+      if (i < bucket.size()) (*hint)[PackRid(bucket[i].rid)] = static_cast<uint32_t>(i);
+    }
+  } else {
+    bucket[i].dead = true;
+    ++stats_.tombstones;
+  }
+  --stats_.live_entries;
 }
 
 void HashIndex::Lookup(const Value& key, std::vector<Rid>* out) const {
@@ -88,6 +125,7 @@ void HashIndex::Clear() {
   const std::size_t buckets = buckets_.size();
   buckets_.clear();
   buckets_.resize(buckets);
+  hints_.clear();
   stats_.live_entries = 0;
   stats_.tombstones = 0;
 }
@@ -99,6 +137,7 @@ void HashIndex::MaybeGrow() {
   if (stats_.live_entries <= buckets_.size() * 2) return;
   std::vector<std::vector<Entry>> old = std::move(buckets_);
   buckets_.clear();
+  hints_.clear();
   buckets_.resize(old.size() * 2);
   for (auto& bucket : old) {
     for (Entry& e : bucket) {
@@ -108,37 +147,32 @@ void HashIndex::MaybeGrow() {
 }
 
 void OrderedIndex::Insert(const Value& key, Rid rid) {
-  entries_.emplace(key, rid);
+  entries_.insert(Entry{key, rid});
 }
 
 void OrderedIndex::Erase(const Value& key, Rid rid) {
-  auto [begin, end] = entries_.equal_range(key);
-  for (auto it = begin; it != end; ++it) {
-    if (it->second == rid) {
-      entries_.erase(it);
-      return;
-    }
-  }
+  auto it = entries_.find(Entry{key, rid});
+  if (it != entries_.end()) entries_.erase(it);
 }
 
 void OrderedIndex::LookupLess(const Value& bound, std::vector<Rid>* out) const {
   for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-    if (it->first.Compare(bound) >= 0) break;
-    out->push_back(it->second);
+    if (it->key.Compare(bound) >= 0) break;
+    out->push_back(it->rid);
   }
 }
 
 void OrderedIndex::LookupRange(const Value& lo, const Value& hi,
                                std::vector<Rid>* out) const {
   for (auto it = entries_.lower_bound(lo); it != entries_.end(); ++it) {
-    if (it->first.Compare(hi) > 0) break;
-    out->push_back(it->second);
+    if (it->key.Compare(hi) > 0) break;
+    out->push_back(it->rid);
   }
 }
 
 void OrderedIndex::Lookup(const Value& key, std::vector<Rid>* out) const {
   auto [begin, end] = entries_.equal_range(key);
-  for (auto it = begin; it != end; ++it) out->push_back(it->second);
+  for (auto it = begin; it != end; ++it) out->push_back(it->rid);
 }
 
 }  // namespace rdb

@@ -21,8 +21,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
+#include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "rdb/heap.h"
@@ -59,7 +60,8 @@ class HashIndex {
   bool Insert(const Value& key, Rid rid);
 
   /// Removes (or tombstones) the entry for (key, rid). Missing entries are
-  /// ignored.
+  /// ignored. Costs O(1) probe steps on average however many entries
+  /// share `key` (see hints_).
   void Erase(const Value& key, Rid rid);
 
   /// Appends all live rids for `key` to `out`.
@@ -84,16 +86,34 @@ class HashIndex {
     bool dead;
   };
 
+  /// rid (packed page:slot) -> position of an entry with that rid in
+  /// one bucket.
+  using RidPositions = std::unordered_map<uint64_t, uint32_t>;
+
+  /// Buckets longer than this get position hints on their first Erase.
+  static constexpr std::size_t kHintedChain = 32;
+
   void MaybeGrow();
   std::size_t BucketFor(uint64_t hash) const { return hash & (buckets_.size() - 1); }
+  static uint64_t PackRid(Rid rid) {
+    return (static_cast<uint64_t>(rid.page) << 16) | rid.slot;
+  }
 
   IndexDeleteMode mode_;
   bool unique_;
   std::vector<std::vector<Entry>> buckets_;
+  /// Erase hints for long buckets (many rids under one key, such as
+  /// t_map.lrc_id at the RLI): bucket -> rid positions. A hint is only
+  /// trusted after the entry it names is checked, so a stale or
+  /// duplicate-rid hint falls back to the chain scan. Dropped on growth
+  /// and Clear().
+  std::unordered_map<std::size_t, RidPositions> hints_;
   mutable IndexStats stats_;
 };
 
-/// Ordered index over one column supporting range scans.
+/// Ordered index over one column supporting range scans. Entries are
+/// ordered by (key, rid), so Erase finds its entry in O(log n) however
+/// many rows share the key.
 class OrderedIndex {
  public:
   OrderedIndex() = default;
@@ -114,10 +134,22 @@ class OrderedIndex {
   std::size_t size() const { return entries_.size(); }
 
  private:
-  struct ValueLess {
-    bool operator()(const Value& a, const Value& b) const { return a.Compare(b) < 0; }
+  struct Entry {
+    Value key;
+    Rid rid;
   };
-  std::multimap<Value, Rid, ValueLess> entries_;
+  /// (key, rid) order; a bare Value compares by key alone, so lookups by
+  /// key need no Entry.
+  struct EntryLess {
+    using is_transparent = void;
+    bool operator()(const Entry& a, const Entry& b) const {
+      const int cmp = a.key.Compare(b.key);
+      return cmp != 0 ? cmp < 0 : a.rid < b.rid;
+    }
+    bool operator()(const Entry& a, const Value& b) const { return a.key.Compare(b) < 0; }
+    bool operator()(const Value& a, const Entry& b) const { return a.Compare(b.key) < 0; }
+  };
+  std::multiset<Entry, EntryLess> entries_;
 };
 
 }  // namespace rdb

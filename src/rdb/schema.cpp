@@ -50,13 +50,12 @@ void EncodeRow(const Row& row, std::string* out) {
 }
 
 rlscommon::Status DecodeRow(std::string_view data, std::size_t num_columns, Row* out) {
-  out->clear();
-  out->reserve(num_columns);
-  for (std::size_t i = 0; i < num_columns; ++i) {
-    Value v;
+  // Decodes over the existing values, so a reused row keeps its string
+  // buffers.
+  out->resize(num_columns);
+  for (Value& v : *out) {
     auto status = Value::Decode(&data, &v);
     if (!status.ok()) return status;
-    out->push_back(std::move(v));
   }
   if (!data.empty()) return rlscommon::Status::Protocol("trailing bytes after row");
   return rlscommon::Status::Ok();

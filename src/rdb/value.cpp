@@ -127,7 +127,11 @@ rlscommon::Status Value::Decode(std::string_view* data, Value* out) {
       std::memcpy(&len, data->data(), 4);
       data->remove_prefix(4);
       if (data->size() < len) return Status::Protocol("truncated string value");
-      *out = Value::String(std::string(data->substr(0, len)));
+      if (auto* str = std::get_if<std::string>(&out->data_)) {
+        str->assign(data->data(), len);  // reuse the buffer of a scratch row
+      } else {
+        *out = Value::String(std::string(data->substr(0, len)));
+      }
       data->remove_prefix(len);
       return Status::Ok();
     }

@@ -1,5 +1,7 @@
 #include "rls/lrc_store.h"
 
+#include <limits>
+
 #include "common/logging.h"
 #include "common/strings.h"
 
@@ -94,6 +96,10 @@ const char* CmpSql(AttrCmp cmp) {
 }
 
 }  // namespace
+
+rdb::Value SqlLimit(uint32_t limit) {
+  return rdb::Value::Int(limit > 0 ? limit : std::numeric_limits<int64_t>::max());
+}
 
 std::string GlobToLike(std::string_view glob) {
   std::string out;
@@ -450,16 +456,17 @@ Status LrcStore::WildcardQuery(const std::string& pattern, uint32_t limit,
   dbapi::ConnectionPool::Lease conn;
   Status s = pool_.Acquire(&conn);
   if (!s.ok()) return s;
-  std::string sql =
+  // Paging pushed down into the SQL layer, as parameters: one statement
+  // text (and one cached plan) whatever page the client asks for.
+  ResultSet rs;
+  s = conn->Execute(
       "SELECT t_lfn.name, t_pfn.name FROM t_lfn"
       " JOIN t_map ON t_lfn.id = t_map.lfn_id"
       " JOIN t_pfn ON t_map.pfn_id = t_pfn.id"
-      " WHERE t_lfn.name LIKE ?";
-  // Paging pushed down into the SQL layer.
-  if (limit > 0) sql += " LIMIT " + std::to_string(limit);
-  if (offset > 0) sql += " OFFSET " + std::to_string(offset);
-  ResultSet rs;
-  s = conn->Execute(sql, {rdb::Value::String(GlobToLike(pattern))}, &rs);
+      " WHERE t_lfn.name LIKE ? LIMIT ? OFFSET ?",
+      {rdb::Value::String(GlobToLike(pattern)), SqlLimit(limit),
+       rdb::Value::Int(offset)},
+      &rs);
   if (!s.ok()) return s;
   out->clear();
   out->reserve(rs.size());

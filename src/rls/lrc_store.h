@@ -177,4 +177,7 @@ class LrcStore {
 /// Converts a glob pattern ('*'/'?') to a SQL LIKE pattern ('%'/'_').
 std::string GlobToLike(std::string_view glob);
 
+/// The `LIMIT ?` argument for a wire-level limit, where 0 means no limit.
+rdb::Value SqlLimit(uint32_t limit);
+
 }  // namespace rls

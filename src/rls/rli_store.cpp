@@ -23,34 +23,38 @@ Status WithTxn(Connection& conn, const std::function<Status()>& body) {
   return conn.Commit();
 }
 
-/// Finds or creates a name row in t_lfn / t_lrc; returns its id.
-Status GetOrCreateId(Connection& conn, const char* table, const std::string& name,
-                     int64_t* id) {
+/// Finds or creates a name row in t_lfn / t_lrc; returns its id and
+/// whether this call created it.
+Status GetOrCreateId(Connection& conn, std::string_view select, std::string_view insert,
+                     const std::string& name, int64_t* id, bool* created) {
   ResultSet rs;
-  Status s = conn.Execute(std::string("SELECT id FROM ") + table + " WHERE name = ?",
-                          {rdb::Value::String(name)}, &rs);
+  Status s = conn.Execute(select, {rdb::Value::String(name)}, &rs);
   if (!s.ok()) return s;
-  if (!rs.empty()) {
+  *created = rs.empty();
+  if (!*created) {
     *id = rs.at(0, 0).AsInt();
     return Status::Ok();
   }
-  s = conn.Execute(std::string("INSERT INTO ") + table + " (name, ref) VALUES (?, 0)",
-                   {rdb::Value::String(name)}, &rs);
+  s = conn.Execute(insert, {rdb::Value::String(name)}, &rs);
   if (!s.ok()) return s;
   *id = rs.last_insert_id;
   return Status::Ok();
 }
 
-/// Refreshes or inserts one {lfn_id, lrc_id} association.
-Status UpsertOne(Connection& conn, int64_t lfn_id, int64_t lrc_id, int64_t now_micros) {
+/// Refreshes or inserts one {lfn_id, lrc_id} association. A name whose
+/// t_lfn row was just created has no association to refresh.
+Status UpsertOne(Connection& conn, int64_t lfn_id, int64_t lrc_id, int64_t now_micros,
+                 bool lfn_created) {
   ResultSet rs;
-  Status s = conn.Execute(
-      "UPDATE t_map SET updatetime = ? WHERE lfn_id = ? AND lrc_id = ?",
-      {rdb::Value::Timestamp(now_micros), rdb::Value::Int(lfn_id),
-       rdb::Value::Int(lrc_id)},
-      &rs);
-  if (!s.ok()) return s;
-  if (rs.affected > 0) return Status::Ok();
+  if (!lfn_created) {
+    Status s = conn.Execute(
+        "UPDATE t_map SET updatetime = ? WHERE lfn_id = ? AND lrc_id = ?",
+        {rdb::Value::Timestamp(now_micros), rdb::Value::Int(lfn_id),
+         rdb::Value::Int(lrc_id)},
+        &rs);
+    if (!s.ok()) return s;
+    if (rs.affected > 0) return Status::Ok();
+  }
   return conn.Execute(
       "INSERT INTO t_map (lfn_id, lrc_id, updatetime) VALUES (?, ?, ?)",
       {rdb::Value::Int(lfn_id), rdb::Value::Int(lrc_id),
@@ -117,13 +121,18 @@ Status RliRelationalStore::UpsertBatch(const std::vector<std::string>& lfns,
   if (!s.ok()) return s;
   return WithTxn(*conn, [&]() -> Status {
     int64_t lrc_id = 0;
-    Status st = GetOrCreateId(*conn, "t_lrc", lrc_url, &lrc_id);
+    bool created = false;
+    Status st = GetOrCreateId(*conn, "SELECT id FROM t_lrc WHERE name = ?",
+                              "INSERT INTO t_lrc (name, ref) VALUES (?, 0)", lrc_url,
+                              &lrc_id, &created);
     if (!st.ok()) return st;
     for (const std::string& lfn : lfns) {
       int64_t lfn_id = 0;
-      st = GetOrCreateId(*conn, "t_lfn", lfn, &lfn_id);
+      st = GetOrCreateId(*conn, "SELECT id FROM t_lfn WHERE name = ?",
+                         "INSERT INTO t_lfn (name, ref) VALUES (?, 0)", lfn, &lfn_id,
+                         &created);
       if (!st.ok()) return st;
-      st = UpsertOne(*conn, lfn_id, lrc_id, now_micros);
+      st = UpsertOne(*conn, lfn_id, lrc_id, now_micros, created);
       if (!st.ok()) return st;
     }
     return Status::Ok();
@@ -178,14 +187,13 @@ Status RliRelationalStore::WildcardQuery(const std::string& pattern, uint32_t li
   dbapi::ConnectionPool::Lease conn;
   Status s = pool_.Acquire(&conn);
   if (!s.ok()) return s;
-  std::string sql =
+  ResultSet rs;
+  s = conn->Execute(
       "SELECT t_lfn.name, t_lrc.name FROM t_lfn"
       " JOIN t_map ON t_lfn.id = t_map.lfn_id"
       " JOIN t_lrc ON t_map.lrc_id = t_lrc.id"
-      " WHERE t_lfn.name LIKE ?";
-  if (limit > 0) sql += " LIMIT " + std::to_string(limit);
-  ResultSet rs;
-  s = conn->Execute(sql, {rdb::Value::String(GlobToLike(pattern))}, &rs);
+      " WHERE t_lfn.name LIKE ? LIMIT ?",
+      {rdb::Value::String(GlobToLike(pattern)), SqlLimit(limit)}, &rs);
   if (!s.ok()) return s;
   out->clear();
   for (const rdb::Row& row : rs.rows) {

@@ -86,8 +86,12 @@ struct SelectStmt {
   std::vector<Predicate> where;
   std::optional<ColumnRef> order_by;  // single-column ORDER BY
   bool order_desc = false;
-  std::optional<uint64_t> limit;
-  std::optional<uint64_t> offset;
+  std::optional<uint64_t> limit;   // LIMIT n
+  std::optional<uint64_t> offset;  // OFFSET n
+  /// LIMIT ? / OFFSET ?: 0-based parameter index, bound per execution so
+  /// a client-chosen page size does not change the statement text.
+  std::optional<std::size_t> limit_param;
+  std::optional<std::size_t> offset_param;
 };
 
 struct InsertStmt {

@@ -1,7 +1,6 @@
 #include "sql/engine.h"
 
 #include <algorithm>
-#include <functional>
 #include <shared_mutex>
 
 #include "common/strings.h"
@@ -19,243 +18,26 @@ using rdb::Table;
 using rdb::Value;
 using rlscommon::Status;
 
-/// One table participating in a SELECT.
-struct Source {
-  std::string alias;
-  Table* table = nullptr;
-};
+/// Scratch a plan keeps between executions is trimmed back above these
+/// sizes, so one large result does not pin its memory to a connection.
+constexpr std::size_t kRetainedRids = 4096;
+constexpr std::size_t kRetainedMatches = 256;
 
-/// Resolved column: (source index, column index).
-struct ResolvedColumn {
-  std::size_t source = 0;
-  std::size_t column = 0;
-};
-
-Status ResolveColumn(const std::vector<Source>& sources, const ColumnRef& ref,
-                     ResolvedColumn* out) {
-  if (!ref.table.empty()) {
-    for (std::size_t s = 0; s < sources.size(); ++s) {
-      if (sources[s].alias != ref.table) continue;
-      auto col = sources[s].table->schema().FindColumn(ref.column);
-      if (!col) {
-        return Status::InvalidArgument("no column " + ref.ToString());
-      }
-      *out = {s, *col};
-      return Status::Ok();
-    }
-    return Status::InvalidArgument("unknown table alias " + ref.table);
-  }
-  bool found = false;
-  for (std::size_t s = 0; s < sources.size(); ++s) {
-    if (auto col = sources[s].table->schema().FindColumn(ref.column)) {
-      if (found) {
-        return Status::InvalidArgument("ambiguous column " + ref.column);
-      }
-      *out = {s, *col};
-      found = true;
-    }
-  }
-  if (!found) return Status::InvalidArgument("no column " + ref.column);
-  return Status::Ok();
-}
-
-/// Operand resolved against sources: either a column or a constant value.
-struct BoundOperand {
-  bool is_column = false;
-  ResolvedColumn column;
-  Value constant;
-};
-
-Status BindOperand(const std::vector<Source>& sources, const Operand& op,
-                   const std::vector<Value>& params, BoundOperand* out) {
-  switch (op.kind) {
-    case Operand::Kind::kColumn:
-      out->is_column = true;
-      return ResolveColumn(sources, op.column, &out->column);
-    case Operand::Kind::kLiteral:
-      out->is_column = false;
-      out->constant = op.literal;
-      return Status::Ok();
-    case Operand::Kind::kParam:
-      if (op.param_index >= params.size()) {
-        return Status::InvalidArgument("parameter " + std::to_string(op.param_index + 1) +
-                                       " not bound");
-      }
-      out->is_column = false;
-      out->constant = params[op.param_index];
-      return Status::Ok();
-  }
-  return Status::Internal("bad operand kind");
-}
-
-struct BoundPredicate {
-  BoundOperand lhs;
-  CmpOp op = CmpOp::kEq;
-  BoundOperand rhs;
-  std::size_t level = 0;  // deepest source referenced
-};
-
-std::size_t OperandLevel(const BoundOperand& op) {
-  return op.is_column ? op.column.source : 0;
-}
-
-Status BindPredicate(const std::vector<Source>& sources, const Predicate& pred,
-                     const std::vector<Value>& params, BoundPredicate* out) {
-  Status s = BindOperand(sources, pred.lhs, params, &out->lhs);
-  if (!s.ok()) return s;
-  s = BindOperand(sources, pred.rhs, params, &out->rhs);
-  if (!s.ok()) return s;
-  out->op = pred.op;
-  out->level = std::max(OperandLevel(out->lhs), OperandLevel(out->rhs));
-  return Status::Ok();
-}
-
-const Value& OperandValue(const BoundOperand& op, const std::vector<Row>& current) {
-  return op.is_column ? current[op.column.source][op.column.column] : op.constant;
-}
-
-bool EvalPredicate(const BoundPredicate& pred, const std::vector<Row>& current) {
-  const Value& lhs = OperandValue(pred.lhs, current);
-  const Value& rhs = OperandValue(pred.rhs, current);
-  if (pred.op == CmpOp::kLike) {
-    if (!lhs.is_string() || !rhs.is_string()) return false;
-    return rlscommon::WildcardMatch(rlscommon::LikeToGlob(rhs.AsString()),
-                                    lhs.AsString());
-  }
-  // SQL three-valued logic: any comparison with NULL is not-true, except
-  // "= NULL" which we treat as IS NULL (the RLS never generates IS NULL).
-  const int cmp = lhs.Compare(rhs);
-  const bool has_null = lhs.is_null() || rhs.is_null();
-  switch (pred.op) {
-    case CmpOp::kEq: return cmp == 0 && (lhs.is_null() == rhs.is_null());
-    case CmpOp::kNe: return !has_null && cmp != 0;
-    case CmpOp::kLt: return !has_null && cmp < 0;
-    case CmpOp::kLe: return !has_null && cmp <= 0;
-    case CmpOp::kGt: return !has_null && cmp > 0;
-    case CmpOp::kGe: return !has_null && cmp >= 0;
-    case CmpOp::kLike: return false;  // handled above
-  }
-  return false;
-}
-
-/// Candidate row producer for one source: either an index lookup result
-/// or a full scan.
-void EnumerateSource(Table* table,
-                     const std::function<void(Rid)>& emit_candidate,
-                     const BoundPredicate* driver,
-                     const std::vector<Row>& current,
-                     std::size_t source_index) {
-  if (driver) {
-    // Which side names this source's column?
-    const BoundOperand* col_side = nullptr;
-    const BoundOperand* val_side = nullptr;
-    if (driver->lhs.is_column && driver->lhs.column.source == source_index) {
-      col_side = &driver->lhs;
-      val_side = &driver->rhs;
-    } else {
-      col_side = &driver->rhs;
-      val_side = &driver->lhs;
-    }
-    const std::string& column =
-        table->schema().columns()[col_side->column.column].name;
-    const Value& key = OperandValue(*val_side, current);
-    if (driver->op == CmpOp::kEq) {
-      if (const rdb::HashIndex* idx = table->FindHashIndex(column)) {
-        std::vector<Rid> rids;
-        idx->Lookup(key, &rids);
-        for (Rid rid : rids) emit_candidate(rid);
-        return;
-      }
-      if (const rdb::OrderedIndex* idx = table->FindOrderedIndex(column)) {
-        std::vector<Rid> rids;
-        idx->Lookup(key, &rids);
-        for (Rid rid : rids) emit_candidate(rid);
-        return;
-      }
-    } else if (driver->op == CmpOp::kLt || driver->op == CmpOp::kLe) {
-      if (const rdb::OrderedIndex* idx = table->FindOrderedIndex(column)) {
-        std::vector<Rid> rids;
-        if (driver->op == CmpOp::kLt) {
-          idx->LookupLess(key, &rids);
-        } else {
-          idx->LookupRange(Value::Null(), key, &rids);
-        }
-        for (Rid rid : rids) emit_candidate(rid);
-        return;
-      }
-    }
-  }
-  table->Scan([&](Rid rid, SlotState st) {
-    if (st == SlotState::kLive) emit_candidate(rid);
-    return true;
-  });
-}
-
-/// Picks the driving predicate for `source_index`: a predicate at this
-/// level whose column side belongs to this source, whose other side is
-/// already bound (constant or lower source), comparing by =, < or <=, and
-/// whose column has a usable index.
-const BoundPredicate* PickDriver(const std::vector<BoundPredicate>& preds,
-                                 const std::vector<Source>& sources,
-                                 std::size_t source_index) {
-  const BoundPredicate* fallback = nullptr;
-  for (const BoundPredicate& p : preds) {
-    if (p.level != source_index) continue;
-    const BoundOperand* col_side = nullptr;
-    const BoundOperand* other = nullptr;
-    if (p.lhs.is_column && p.lhs.column.source == source_index) {
-      col_side = &p.lhs;
-      other = &p.rhs;
-    } else if (p.rhs.is_column && p.rhs.column.source == source_index) {
-      col_side = &p.rhs;
-      other = &p.lhs;
-    }
-    if (!col_side) continue;
-    if (other->is_column && other->column.source >= source_index) continue;
-    Table* table = sources[source_index].table;
-    const std::string& column =
-        table->schema().columns()[col_side->column.column].name;
-    if (p.op == CmpOp::kEq &&
-        (table->FindHashIndex(column) || table->FindOrderedIndex(column))) {
-      return &p;  // equality with an index: best
-    }
-    if ((p.op == CmpOp::kLt || p.op == CmpOp::kLe) &&
-        table->FindOrderedIndex(column) && !fallback) {
-      fallback = &p;
-    }
-  }
-  return fallback;
-}
-
-/// Lock manager: takes shared or exclusive table locks in a canonical
-/// order (by table name) to avoid deadlocks between concurrent statements.
-class TableLocks {
+/// Holds a plan's table locks for one execution, taken in the plan's
+/// canonical order.
+class PlanLocks {
  public:
-  void AddShared(Table* table) { Add(table, /*exclusive=*/false); }
-  void AddExclusive(Table* table) { Add(table, /*exclusive=*/true); }
-
-  void Acquire() {
-    std::sort(entries_.begin(), entries_.end(), [](const Entry& a, const Entry& b) {
-      return a.table->name() < b.table->name();
-    });
-    entries_.erase(std::unique(entries_.begin(), entries_.end(),
-                               [](const Entry& a, const Entry& b) {
-                                 return a.table == b.table;
-                               }),
-                   entries_.end());
-    for (Entry& e : entries_) {
-      if (e.exclusive) {
-        e.table->mutex().lock();
+  explicit PlanLocks(const std::vector<TableLock>& locks) : locks_(locks) {
+    for (const TableLock& l : locks_) {
+      if (l.exclusive) {
+        l.table->mutex().lock();
       } else {
-        e.table->mutex().lock_shared();
+        l.table->mutex().lock_shared();
       }
     }
-    held_ = true;
   }
-
-  ~TableLocks() {
-    if (!held_) return;
-    for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+  ~PlanLocks() {
+    for (auto it = locks_.rbegin(); it != locks_.rend(); ++it) {
       if (it->exclusive) {
         it->table->mutex().unlock();
       } else {
@@ -263,80 +45,227 @@ class TableLocks {
       }
     }
   }
+  PlanLocks(const PlanLocks&) = delete;
+  PlanLocks& operator=(const PlanLocks&) = delete;
 
  private:
-  struct Entry {
-    Table* table;
-    bool exclusive;
-  };
-  void Add(Table* table, bool exclusive) {
-    for (Entry& e : entries_) {
-      if (e.table == table) {
-        e.exclusive |= exclusive;
-        return;
-      }
-    }
-    entries_.push_back({table, exclusive});
-  }
-  std::vector<Entry> entries_;
-  bool held_ = false;
+  const std::vector<TableLock>& locks_;
 };
+
+/// One execution of a plan: a left-deep nested loop over its levels that
+/// reads parameters in place and fills the levels' scratch rows.
+class PlanRun {
+ public:
+  PlanRun(Plan& plan, const std::vector<Value>& params)
+      : plan_(plan), params_(params) {}
+
+  ~PlanRun() {
+    for (PlanLevel& level : plan_.levels) {
+      if (level.rids.capacity() > kRetainedRids) std::vector<Rid>().swap(level.rids);
+    }
+    if (plan_.matches.size() > kRetainedMatches) {
+      std::vector<std::pair<Rid, Row>>().swap(plan_.matches);
+    }
+    if (plan_.inserted.capacity() > kRetainedRids) std::vector<Rid>().swap(plan_.inserted);
+  }
+
+  const Value& Get(const PlanOperand& op) const {
+    switch (op.kind) {
+      case PlanOperand::Kind::kColumn: return plan_.levels[op.level].row[op.column];
+      case PlanOperand::Kind::kParam: return params_[op.param];
+      case PlanOperand::Kind::kLiteral: break;
+    }
+    return op.literal;
+  }
+
+  /// Reads a LIMIT/OFFSET operand (absent = no clause).
+  Status Count(const std::optional<PlanOperand>& op, const char* clause,
+               std::optional<uint64_t>* out) const {
+    if (!op) return Status::Ok();
+    const Value& v = Get(*op);
+    if (!v.is_int() || v.AsInt() < 0) {
+      return Status::InvalidArgument(std::string(clause) +
+                                     " expects a non-negative integer");
+    }
+    *out = static_cast<uint64_t>(v.AsInt());
+    return Status::Ok();
+  }
+
+  /// Calls emit() for every row combination that passes the filters of
+  /// levels `level` and deeper; stops once emit() returns false.
+  template <typename Emit>
+  void Walk(std::size_t level, Emit& emit) {
+    if (level == plan_.levels.size()) {
+      if (!emit()) done_ = true;
+      return;
+    }
+    PlanLevel& l = plan_.levels[level];
+    if (l.access == AccessKind::kScan) {
+      // One captured pointer keeps the callback within std::function's
+      // inline storage.
+      struct Ctx {
+        PlanRun* run;
+        std::size_t level;
+        Emit* emit;
+      } ctx{this, level, &emit};
+      l.table->Scan([&ctx](Rid rid, SlotState st) {
+        if (st == SlotState::kLive) ctx.run->Visit(ctx.level, rid, *ctx.emit);
+        return !ctx.run->done_;
+      });
+      return;
+    }
+    const Value& key = Get(l.key);
+    l.rids.clear();
+    switch (l.access) {
+      case AccessKind::kHashEq: l.hash->Lookup(key, &l.rids); break;
+      case AccessKind::kOrderedEq: l.ordered->Lookup(key, &l.rids); break;
+      case AccessKind::kOrderedLess: l.ordered->LookupLess(key, &l.rids); break;
+      case AccessKind::kOrderedLessEq:
+        l.ordered->LookupRange(Value::Null(), key, &l.rids);
+        break;
+      case AccessKind::kScan: break;
+    }
+    for (std::size_t i = 0; i < l.rids.size() && !done_; ++i) {
+      Visit(level, l.rids[i], emit);
+    }
+  }
+
+ private:
+  template <typename Emit>
+  void Visit(std::size_t level, Rid rid, Emit& emit) {
+    PlanLevel& l = plan_.levels[level];
+    if (!l.table->IsLive(rid)) {
+      // Dead rid from a tombstoned index entry: the visibility check
+      // still fetches and decodes the tuple (PostgreSQL dead-tuple cost,
+      // paper Fig. 8).
+      (void)l.table->ReadRow(rid, &plan_.dead_row);
+      return;
+    }
+    if (!l.table->ReadRow(rid, &l.row).ok()) return;
+    for (const PlanPredicate& p : l.filters) {
+      if (!Eval(p)) return;
+    }
+    l.rid = rid;
+    Walk(level + 1, emit);
+  }
+
+  bool Eval(const PlanPredicate& pred) {
+    const Value& lhs = Get(pred.lhs);
+    const Value& rhs = Get(pred.rhs);
+    if (pred.op == CmpOp::kLike) {
+      if (!lhs.is_string() || !rhs.is_string()) return false;
+      // A constant pattern is translated once per execution.
+      if (pred.rhs.kind == PlanOperand::Kind::kColumn || glob_of_ != &rhs) {
+        plan_.like_glob = rlscommon::LikeToGlob(rhs.AsString());
+        glob_of_ = &rhs;
+      }
+      return rlscommon::WildcardMatch(plan_.like_glob, lhs.AsString());
+    }
+    // SQL three-valued logic: any comparison with NULL is not-true, except
+    // "= NULL" which we treat as IS NULL (the RLS never generates IS NULL).
+    const int cmp = lhs.Compare(rhs);
+    const bool has_null = lhs.is_null() || rhs.is_null();
+    switch (pred.op) {
+      case CmpOp::kEq: return cmp == 0 && (lhs.is_null() == rhs.is_null());
+      case CmpOp::kNe: return !has_null && cmp != 0;
+      case CmpOp::kLt: return !has_null && cmp < 0;
+      case CmpOp::kLe: return !has_null && cmp <= 0;
+      case CmpOp::kGt: return !has_null && cmp > 0;
+      case CmpOp::kGe: return !has_null && cmp >= 0;
+      case CmpOp::kLike: return false;  // handled above
+    }
+    return false;
+  }
+
+  Plan& plan_;
+  const std::vector<Value>& params_;
+  bool done_ = false;
+  const Value* glob_of_ = nullptr;  // pattern plan_.like_glob came from
+};
+
+/// UPDATE/DELETE row selection (exclusive lock held): copies each
+/// matching rid and row image into plan.matches[0..n) before anything
+/// mutates, so the mutations cannot disturb the walk. Returns n.
+std::size_t CollectMatches(PlanRun& run, Plan& plan) {
+  std::size_t n = 0;
+  const PlanLevel& level = plan.levels[0];
+  auto emit = [&] {
+    if (n == plan.matches.size()) plan.matches.emplace_back();
+    plan.matches[n].first = level.rid;
+    plan.matches[n].second = level.row;
+    ++n;
+    return true;
+  };
+  run.Walk(0, emit);
+  return n;
+}
 
 }  // namespace
 
 Status Engine::ExecuteSql(std::string_view text, const std::vector<Value>& params,
                           Session* session, ResultSet* result) {
-  Statement stmt;
-  Status s = Parse(text, &stmt);
+  PreparedStatement prepared;
+  Status s = Parse(text, &prepared.stmt);
   if (!s.ok()) return s;
-  return Execute(stmt, params, session, result);
+  return Execute(&prepared, params, session, result);
 }
 
-Status Engine::Execute(const Statement& stmt, const std::vector<Value>& params,
+Status Engine::Prepare(PreparedStatement* stmt, Plan** plan) {
+  const uint64_t epoch = db_->schema_epoch();
+  if (!stmt->plan || stmt->plan->schema_epoch != epoch) {
+    auto fresh = std::make_unique<Plan>();
+    Status s = BuildPlan(db_, stmt->stmt, fresh.get());
+    if (!s.ok()) {
+      stmt->plan.reset();
+      return s;
+    }
+    fresh->schema_epoch = epoch;
+    stmt->plan = std::move(fresh);
+  }
+  *plan = stmt->plan.get();
+  return Status::Ok();
+}
+
+Status Engine::Execute(PreparedStatement* stmt, const std::vector<Value>& params,
                        Session* session, ResultSet* result) {
-  *result = ResultSet{};
+  // Keep the caller's buffers: a reused ResultSet allocates nothing here.
+  result->columns.clear();
+  result->rows.clear();
+  result->affected = 0;
+  result->last_insert_id = 0;
+  Plan* plan = nullptr;
+  if (IsPlanned(stmt->stmt)) {
+    Status s = Prepare(stmt, &plan);
+    if (!s.ok()) return s;
+    if (params.size() < plan->num_params) {
+      return Status::InvalidArgument("parameter " + std::to_string(params.size() + 1) +
+                                     " not bound");
+    }
+  }
   // Recovery profiles: hold the txn gate shared across the window
   // between applying a mutation to the tables and reserving its WAL
   // LSN, so a deferred checkpoint (group-commit wrap) can wait out that
   // window and never snapshot effects its LSN stamp would replay again.
-  const bool mutating = std::holds_alternative<InsertStmt>(stmt) ||
-                        std::holds_alternative<UpdateStmt>(stmt) ||
-                        std::holds_alternative<DeleteStmt>(stmt);
+  const bool mutating = plan && (plan->kind == Plan::Kind::kInsert ||
+                                 plan->kind == Plan::Kind::kUpdate ||
+                                 plan->kind == Plan::Kind::kDelete);
   if (session && mutating && !session->holds_txn_gate_ &&
       db_->profile().wal_recovery) {
     db_->LockTxnGateShared();
     session->holds_txn_gate_ = true;
   }
-  Status status = std::visit(
-      [&](const auto& s) -> Status {
-        using T = std::decay_t<decltype(s)>;
-        if constexpr (std::is_same_v<T, SelectStmt>) {
-          return ExecSelect(s, params, result);
-        } else if constexpr (std::is_same_v<T, InsertStmt>) {
-          return ExecInsert(s, params, session, result);
-        } else if constexpr (std::is_same_v<T, UpdateStmt>) {
-          return ExecUpdate(s, params, session, result);
-        } else if constexpr (std::is_same_v<T, DeleteStmt>) {
-          return ExecDelete(s, params, session, result);
-        } else if constexpr (std::is_same_v<T, CreateTableStmt>) {
-          return ExecCreateTable(s);
-        } else if constexpr (std::is_same_v<T, CreateIndexStmt>) {
-          return ExecCreateIndex(s);
-        } else if constexpr (std::is_same_v<T, DropTableStmt>) {
-          return db_->DropTable(s.table);
-        } else if constexpr (std::is_same_v<T, VacuumStmt>) {
-          if (s.table.empty()) {
-            db_->VacuumAll();
-            return Status::Ok();
-          }
-          return db_->Vacuum(s.table);
-        } else if constexpr (std::is_same_v<T, ExplainStmt>) {
-          return ExecExplain(s, params, result);
-        } else {
-          return ExecTxn(s, session);
-        }
-      },
-      stmt);
+  Status status;
+  if (!plan) {
+    status = ExecUnplanned(stmt->stmt, session);
+  } else {
+    switch (plan->kind) {
+      case Plan::Kind::kSelect: status = RunSelect(*plan, params, result); break;
+      case Plan::Kind::kExplain: status = RunExplain(*plan, result); break;
+      case Plan::Kind::kInsert: status = RunInsert(*plan, params, session, result); break;
+      case Plan::Kind::kUpdate: status = RunUpdate(*plan, params, session, result); break;
+      case Plan::Kind::kDelete: status = RunDelete(*plan, params, session, result); break;
+    }
+  }
   if (!status.ok()) {
     // A failed statement outside a transaction has nothing left to
     // commit or roll back; do not keep blocking checkpoints.
@@ -355,136 +284,46 @@ Status Engine::Execute(const Statement& stmt, const std::vector<Value>& params,
   return Status::Ok();
 }
 
-Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& params,
-                          ResultSet* result) {
-  // Resolve sources.
-  std::vector<Source> sources;
-  auto add_source = [&](const TableRef& ref) -> Status {
-    Table* table = db_->GetTable(ref.table);
-    if (!table) return Status::Database("no table " + ref.table);
-    const std::string& alias = ref.effective_alias();
-    for (const Source& s : sources) {
-      if (s.alias == alias) {
-        return Status::InvalidArgument("duplicate table alias " + alias);
-      }
-    }
-    sources.push_back({alias, table});
-    return Status::Ok();
-  };
-  Status s = add_source(stmt.from);
+Status Engine::RunSelect(Plan& plan, const std::vector<Value>& params,
+                         ResultSet* result) {
+  PlanRun run(plan, params);
+  std::optional<uint64_t> limit, offset_clause;
+  Status s = run.Count(plan.limit, "LIMIT", &limit);
+  if (s.ok()) s = run.Count(plan.offset, "OFFSET", &offset_clause);
   if (!s.ok()) return s;
-  for (const JoinClause& join : stmt.joins) {
-    s = add_source(join.table);
-    if (!s.ok()) return s;
-  }
+  result->columns = plan.columns;
 
-  TableLocks locks;
-  for (const Source& src : sources) locks.AddShared(src.table);
-  locks.Acquire();
-
-  // Bind predicates: WHERE plus JOIN ... ON conditions.
-  std::vector<BoundPredicate> preds;
-  preds.reserve(stmt.where.size() + stmt.joins.size());
-  for (const JoinClause& join : stmt.joins) {
-    BoundPredicate bp;
-    s = BindPredicate(sources, join.on, params, &bp);
-    if (!s.ok()) return s;
-    preds.push_back(std::move(bp));
-  }
-  for (const Predicate& pred : stmt.where) {
-    BoundPredicate bp;
-    s = BindPredicate(sources, pred, params, &bp);
-    if (!s.ok()) return s;
-    preds.push_back(std::move(bp));
-  }
-
-  // Projection.
-  std::vector<ResolvedColumn> projection;
-  if (stmt.star) {
-    for (std::size_t src = 0; src < sources.size(); ++src) {
-      const auto& cols = sources[src].table->schema().columns();
-      for (std::size_t c = 0; c < cols.size(); ++c) {
-        projection.push_back({src, c});
-        result->columns.push_back(sources[src].alias + "." + cols[c].name);
-      }
-    }
-  } else if (stmt.count_star) {
-    result->columns.push_back("count");
-  } else {
-    for (const ColumnRef& ref : stmt.columns) {
-      ResolvedColumn rc;
-      s = ResolveColumn(sources, ref, &rc);
-      if (!s.ok()) return s;
-      projection.push_back(rc);
-      result->columns.push_back(ref.ToString());
-    }
+  PlanLocks locks(plan.locks);
+  if (plan.count_star) {
+    int64_t count = 0;
+    auto emit = [&] {
+      ++count;
+      return true;
+    };
+    run.Walk(0, emit);
+    result->rows.push_back({Value::Int(count)});
+    return Status::Ok();
   }
 
   // ORDER BY / OFFSET disable the early-limit short circuit: every match
   // must be seen before sorting/slicing.
-  ResolvedColumn order_column;
-  const bool ordered = stmt.order_by.has_value() && !stmt.count_star;
-  if (ordered) {
-    s = ResolveColumn(sources, *stmt.order_by, &order_column);
-    if (!s.ok()) return s;
-  }
-  const uint64_t offset = stmt.offset.value_or(0);
-  const bool early_limit = stmt.limit && !ordered && offset == 0;
-
-  uint64_t count = 0;
-  bool done = false;
-  std::vector<Row> current(sources.size());
+  const bool ordered = plan.order_by.has_value();
+  const uint64_t offset = offset_clause.value_or(0);
+  const bool early_limit = limit && !ordered && offset == 0;
+  if (early_limit && *limit == 0) return Status::Ok();
   std::vector<Value> sort_keys;  // parallel to result->rows when ordered
-
-  std::function<void(std::size_t)> bind_level = [&](std::size_t level) {
-    if (done) return;
-    if (level == sources.size()) {
-      if (stmt.count_star) {
-        ++count;
-      } else {
-        Row out;
-        out.reserve(projection.size());
-        for (const ResolvedColumn& rc : projection) {
-          out.push_back(current[rc.source][rc.column]);
-        }
-        if (ordered) {
-          sort_keys.push_back(current[order_column.source][order_column.column]);
-        }
-        result->rows.push_back(std::move(out));
-      }
-      if (early_limit && !stmt.count_star && result->rows.size() >= *stmt.limit) {
-        done = true;
-      }
-      return;
+  auto emit = [&] {
+    Row& out = result->rows.emplace_back();
+    out.reserve(plan.projection.size());
+    for (const PlanColumn& c : plan.projection) {
+      out.push_back(plan.levels[c.level].row[c.column]);
     }
-    Table* table = sources[level].table;
-    const BoundPredicate* driver = PickDriver(preds, sources, level);
-    EnumerateSource(
-        table,
-        [&](Rid rid) {
-          if (done) return;
-          if (!table->IsLive(rid)) {
-            // Dead rid from a tombstoned index entry: the visibility
-            // check still fetches and decodes the tuple (PostgreSQL
-            // dead-tuple cost, paper Fig. 8).
-            Row scratch;
-            (void)table->ReadRow(rid, &scratch);
-            return;
-          }
-          if (!table->ReadRow(rid, &current[level]).ok()) return;
-          for (const BoundPredicate& p : preds) {
-            if (p.level == level && !EvalPredicate(p, current)) return;
-          }
-          bind_level(level + 1);
-        },
-        driver, current, level);
+    if (ordered) {
+      sort_keys.push_back(plan.levels[plan.order_by->level].row[plan.order_by->column]);
+    }
+    return !(early_limit && result->rows.size() >= *limit);
   };
-  bind_level(0);
-
-  if (stmt.count_star) {
-    result->rows.push_back({Value::Int(static_cast<int64_t>(count))});
-    return Status::Ok();
-  }
+  run.Walk(0, emit);
 
   if (ordered) {
     // Stable sort by key (indices first, then permute).
@@ -492,17 +331,17 @@ Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& para
     for (std::size_t i = 0; i < perm.size(); ++i) perm[i] = i;
     std::stable_sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
       const int cmp = sort_keys[a].Compare(sort_keys[b]);
-      return stmt.order_desc ? cmp > 0 : cmp < 0;
+      return plan.order_desc ? cmp > 0 : cmp < 0;
     });
     std::vector<Row> sorted;
     sorted.reserve(perm.size());
     for (std::size_t i : perm) sorted.push_back(std::move(result->rows[i]));
     result->rows = std::move(sorted);
   }
-  if (offset > 0 || (stmt.limit && !early_limit)) {
+  if (offset > 0 || (limit && !early_limit)) {
     std::vector<Row> page;
     for (std::size_t i = offset; i < result->rows.size(); ++i) {
-      if (stmt.limit && page.size() >= *stmt.limit) break;
+      if (limit && page.size() >= *limit) break;
       page.push_back(std::move(result->rows[i]));
     }
     result->rows = std::move(page);
@@ -510,112 +349,39 @@ Status Engine::ExecSelect(const SelectStmt& stmt, const std::vector<Value>& para
   return Status::Ok();
 }
 
-Status Engine::ExecExplain(const ExplainStmt& stmt, const std::vector<Value>& params,
-                           ResultSet* result) {
-  const SelectStmt& sel = stmt.select;
-  std::vector<Source> sources;
-  auto add_source = [&](const TableRef& ref) -> Status {
-    Table* table = db_->GetTable(ref.table);
-    if (!table) return Status::Database("no table " + ref.table);
-    sources.push_back({ref.effective_alias(), table});
-    return Status::Ok();
-  };
-  Status s = add_source(sel.from);
-  if (!s.ok()) return s;
-  for (const JoinClause& join : sel.joins) {
-    s = add_source(join.table);
-    if (!s.ok()) return s;
-  }
-
-  std::vector<BoundPredicate> preds;
-  for (const JoinClause& join : sel.joins) {
-    BoundPredicate bp;
-    s = BindPredicate(sources, join.on, params, &bp);
-    if (!s.ok()) return s;
-    preds.push_back(std::move(bp));
-  }
-  for (const Predicate& pred : sel.where) {
-    BoundPredicate bp;
-    s = BindPredicate(sources, pred, params, &bp);
-    if (!s.ok()) return s;
-    preds.push_back(std::move(bp));
-  }
-
+Status Engine::RunExplain(const Plan& plan, ResultSet* result) {
   result->columns = {"source", "access_path"};
-  for (std::size_t level = 0; level < sources.size(); ++level) {
-    Table* table = sources[level].table;
-    const BoundPredicate* driver = PickDriver(preds, sources, level);
-    std::string path;
-    if (driver) {
-      const BoundOperand* col_side =
-          (driver->lhs.is_column && driver->lhs.column.source == level)
-              ? &driver->lhs
-              : &driver->rhs;
-      const std::string& column =
-          table->schema().columns()[col_side->column.column].name;
-      const char* kind = table->FindHashIndex(column) ? "hash index" : "ordered index";
-      const char* op = driver->op == CmpOp::kEq ? "=" : (driver->op == CmpOp::kLt ? "<" : "<=");
-      path = std::string(kind) + " on " + column + " (" + op + ")";
-    } else {
-      path = "sequential scan";
-    }
-    result->rows.push_back(
-        {Value::String(sources[level].alias), Value::String(path)});
+  for (const PlanLevel& level : plan.levels) {
+    result->rows.push_back({Value::String(level.alias), Value::String(level.access_text)});
   }
   return Status::Ok();
 }
 
-Status Engine::ExecInsert(const InsertStmt& stmt, const std::vector<Value>& params,
-                          Session* session, ResultSet* result) {
-  Table* table = db_->GetTable(stmt.table);
-  if (!table) return Status::Database("no table " + stmt.table);
+Status Engine::RunInsert(Plan& plan, const std::vector<Value>& params,
+                         Session* session, ResultSet* result) {
+  PlanRun run(plan, params);
+  Table* table = plan.levels[0].table;
   const rdb::TableSchema& schema = table->schema();
-
-  // Map statement columns to schema positions.
-  std::vector<std::size_t> positions;
-  if (stmt.columns.empty()) {
-    for (std::size_t i = 0; i < schema.num_columns(); ++i) positions.push_back(i);
-  } else {
-    for (const std::string& name : stmt.columns) {
-      auto col = schema.FindColumn(name);
-      if (!col) return Status::InvalidArgument("no column " + name + " in " + stmt.table);
-      positions.push_back(*col);
-    }
-  }
-
-  TableLocks locks;
-  locks.AddExclusive(table);
-  locks.Acquire();
-
-  std::vector<Rid> inserted;
-  for (const std::vector<Operand>& values : stmt.rows) {
-    if (values.size() != positions.size()) {
-      return Status::InvalidArgument("VALUES arity mismatch for " + stmt.table);
-    }
+  PlanLocks locks(plan.locks);
+  plan.inserted.clear();
+  for (const std::vector<PlanOperand>& values : plan.values) {
     Row row(schema.num_columns(), Value::Null());
     for (std::size_t i = 0; i < values.size(); ++i) {
-      BoundOperand bound;
-      Status s = BindOperand({}, values[i], params, &bound);
-      if (!s.ok()) return s;
-      Value v = bound.constant;
-      // Coerce ints into TIMESTAMP columns.
-      if (schema.columns()[positions[i]].type == rdb::ColumnType::kTimestamp &&
-          v.is_int()) {
-        v = Value::Timestamp(v.AsInt());
-      }
-      row[positions[i]] = std::move(v);
+      Value& v = row[plan.positions[i]];
+      v = run.Get(values[i]);
+      if (plan.to_timestamp[i] && v.is_int()) v = Value::Timestamp(v.AsInt());
     }
     Rid rid;
     int64_t auto_id = 0;
     Status s = table->Insert(row, &rid, &auto_id);
     if (!s.ok()) {
       // Statement atomicity: undo this statement's own inserts.
-      for (auto it = inserted.rbegin(); it != inserted.rend(); ++it) {
+      for (auto it = plan.inserted.rbegin(); it != plan.inserted.rend(); ++it) {
         (void)table->Delete(*it);
       }
       return s;
     }
-    inserted.push_back(rid);
+    plan.inserted.push_back(rid);
     if (session) {
       if (auto_id != 0) {
         session->last_insert_id_ = auto_id;
@@ -624,168 +390,97 @@ Status Engine::ExecInsert(const InsertStmt& stmt, const std::vector<Value>& para
           row[*auto_col] = Value::Int(auto_id);
         }
       }
-      session->undo_.push_back({UndoRecord::Kind::kInsert, stmt.table, row, {}});
       // The logged image carries the assigned auto-increment id, so WAL
       // replay re-inserts the identical row.
-      rdb::AppendInsertRecord(stmt.table, row, &session->wal_buffer_);
+      rdb::AppendInsertRecord(table->name(), row, &session->wal_buffer_);
+      session->undo_.push_back({UndoRecord::Kind::kInsert, table->name(), std::move(row), {}});
     }
   }
-  result->affected = inserted.size();
+  result->affected = plan.inserted.size();
   if (session) result->last_insert_id = session->last_insert_id_;
   return Status::Ok();
 }
 
-namespace {
-
-/// Shared match enumeration for UPDATE/DELETE (single table, exclusive
-/// lock already held). Collects matching rids + row images first so
-/// mutation does not disturb iteration.
-Status CollectMatches(Table* table, const std::string& alias,
-                      const std::vector<Predicate>& where,
-                      const std::vector<Value>& params,
-                      std::vector<std::pair<Rid, Row>>* out) {
-  std::vector<Source> sources{{alias, table}};
-  std::vector<BoundPredicate> preds;
-  for (const Predicate& pred : where) {
-    BoundPredicate bp;
-    Status s = BindPredicate(sources, pred, params, &bp);
-    if (!s.ok()) return s;
-    preds.push_back(std::move(bp));
-  }
-  std::vector<Row> current(1);
-  const BoundPredicate* driver = PickDriver(preds, sources, 0);
-  EnumerateSource(
-      table,
-      [&](Rid rid) {
-        if (!table->IsLive(rid)) {
-          Row scratch;  // dead-tuple visibility fetch (see ExecSelect)
-          (void)table->ReadRow(rid, &scratch);
-          return;
-        }
-        if (!table->ReadRow(rid, &current[0]).ok()) return;
-        for (const BoundPredicate& p : preds) {
-          if (!EvalPredicate(p, current)) return;
-        }
-        out->emplace_back(rid, current[0]);
-      },
-      driver, current, 0);
-  return Status::Ok();
-}
-
-}  // namespace
-
-Status Engine::ExecUpdate(const UpdateStmt& stmt, const std::vector<Value>& params,
-                          Session* session, ResultSet* result) {
-  Table* table = db_->GetTable(stmt.table);
-  if (!table) return Status::Database("no table " + stmt.table);
-  const rdb::TableSchema& schema = table->schema();
-
-  struct BoundSet {
-    std::size_t column;
-    bool is_delta;
-    int64_t delta;
-    Value value;
-  };
-  std::vector<BoundSet> sets;
-  for (const Assignment& a : stmt.sets) {
-    auto col = schema.FindColumn(a.column);
-    if (!col) return Status::InvalidArgument("no column " + a.column);
-    BoundSet bs;
-    bs.column = *col;
-    bs.is_delta = a.is_delta;
-    bs.delta = a.delta;
-    if (!a.is_delta) {
-      BoundOperand bound;
-      Status s = BindOperand({}, a.value, params, &bound);
-      if (!s.ok()) return s;
-      bs.value = bound.constant;
-      if (schema.columns()[*col].type == rdb::ColumnType::kTimestamp &&
-          bs.value.is_int()) {
-        bs.value = Value::Timestamp(bs.value.AsInt());
-      }
-    }
-    sets.push_back(std::move(bs));
-  }
-
-  TableLocks locks;
-  locks.AddExclusive(table);
-  locks.Acquire();
-
-  std::vector<std::pair<Rid, Row>> matches;
-  Status s = CollectMatches(table, stmt.table, stmt.where, params, &matches);
-  if (!s.ok()) return s;
-
-  for (auto& [rid, old_row] : matches) {
+Status Engine::RunUpdate(Plan& plan, const std::vector<Value>& params,
+                         Session* session, ResultSet* result) {
+  PlanRun run(plan, params);
+  Table* table = plan.levels[0].table;
+  PlanLocks locks(plan.locks);
+  const std::size_t n = CollectMatches(run, plan);
+  for (std::size_t m = 0; m < n; ++m) {
+    auto& [rid, old_row] = plan.matches[m];
     Row new_row = old_row;
-    for (const BoundSet& bs : sets) {
-      if (bs.is_delta) {
-        if (!new_row[bs.column].is_int() && !new_row[bs.column].is_timestamp()) {
+    for (const PlanAssignment& set : plan.sets) {
+      Value& v = new_row[set.column];
+      if (set.is_delta) {
+        if (!v.is_int() && !v.is_timestamp()) {
           return Status::InvalidArgument("delta update on non-integer column");
         }
-        new_row[bs.column] = Value::Int(new_row[bs.column].AsInt() + bs.delta);
+        v = Value::Int(v.AsInt() + set.delta);
       } else {
-        new_row[bs.column] = bs.value;
+        v = run.Get(set.value);
+        if (set.to_timestamp && v.is_int()) v = Value::Timestamp(v.AsInt());
       }
     }
     Rid new_rid;
-    s = table->Update(rid, new_row, &new_rid);
+    Status s = table->Update(rid, new_row, &new_rid);
     if (!s.ok()) return s;
     if (session) {
-      session->undo_.push_back({UndoRecord::Kind::kUpdate, stmt.table, new_row, old_row});
       // Both images: replay locates the row by its old value before
       // installing the new one.
-      rdb::AppendUpdateRecord(stmt.table, old_row, new_row, &session->wal_buffer_);
+      rdb::AppendUpdateRecord(table->name(), old_row, new_row, &session->wal_buffer_);
+      session->undo_.push_back({UndoRecord::Kind::kUpdate, table->name(),
+                                std::move(new_row), std::move(old_row)});
     }
     ++result->affected;
   }
   return Status::Ok();
 }
 
-Status Engine::ExecDelete(const DeleteStmt& stmt, const std::vector<Value>& params,
-                          Session* session, ResultSet* result) {
-  Table* table = db_->GetTable(stmt.table);
-  if (!table) return Status::Database("no table " + stmt.table);
-
-  TableLocks locks;
-  locks.AddExclusive(table);
-  locks.Acquire();
-
-  std::vector<std::pair<Rid, Row>> matches;
-  Status s = CollectMatches(table, stmt.table, stmt.where, params, &matches);
-  if (!s.ok()) return s;
-
-  for (auto& [rid, old_row] : matches) {
-    s = table->Delete(rid);
+Status Engine::RunDelete(Plan& plan, const std::vector<Value>& params,
+                         Session* session, ResultSet* result) {
+  PlanRun run(plan, params);
+  Table* table = plan.levels[0].table;
+  PlanLocks locks(plan.locks);
+  const std::size_t n = CollectMatches(run, plan);
+  for (std::size_t m = 0; m < n; ++m) {
+    auto& [rid, old_row] = plan.matches[m];
+    Status s = table->Delete(rid);
     if (!s.ok()) return s;
     if (session) {
-      session->undo_.push_back({UndoRecord::Kind::kDelete, stmt.table, {}, old_row});
-      rdb::AppendDeleteRecord(stmt.table, old_row, &session->wal_buffer_);
+      rdb::AppendDeleteRecord(table->name(), old_row, &session->wal_buffer_);
+      session->undo_.push_back(
+          {UndoRecord::Kind::kDelete, table->name(), {}, std::move(old_row)});
     }
     ++result->affected;
   }
   return Status::Ok();
+}
+
+Status Engine::ExecUnplanned(const Statement& stmt, Session* session) {
+  if (const auto* s = std::get_if<CreateTableStmt>(&stmt)) return ExecCreateTable(*s);
+  if (const auto* s = std::get_if<CreateIndexStmt>(&stmt)) {
+    return db_->CreateIndex(s->table, s->index, s->column,
+                            s->ordered ? rdb::IndexKind::kOrdered : rdb::IndexKind::kHash,
+                            s->unique);
+  }
+  if (const auto* s = std::get_if<DropTableStmt>(&stmt)) return db_->DropTable(s->table);
+  if (const auto* s = std::get_if<VacuumStmt>(&stmt)) {
+    if (s->table.empty()) {
+      db_->VacuumAll();
+      return Status::Ok();
+    }
+    return db_->Vacuum(s->table);
+  }
+  if (const auto* s = std::get_if<TxnStmt>(&stmt)) return ExecTxn(*s, session);
+  return Status::Internal("unhandled statement kind");
 }
 
 Status Engine::ExecCreateTable(const CreateTableStmt& stmt) {
   Status s = db_->CreateTable(stmt.schema);
-  if (!s.ok()) return s;
-  if (!stmt.primary_key.empty()) {
-    Table* table = db_->GetTable(stmt.schema.name());
-    std::unique_lock<std::shared_mutex> lock(table->mutex());
-    return table->CreateIndex("pk_" + stmt.schema.name(), stmt.primary_key,
-                              rdb::IndexKind::kHash, /*unique=*/true);
-  }
-  return Status::Ok();
-}
-
-Status Engine::ExecCreateIndex(const CreateIndexStmt& stmt) {
-  Table* table = db_->GetTable(stmt.table);
-  if (!table) return Status::Database("no table " + stmt.table);
-  std::unique_lock<std::shared_mutex> lock(table->mutex());
-  return table->CreateIndex(stmt.index, stmt.column,
-                            stmt.ordered ? rdb::IndexKind::kOrdered
-                                         : rdb::IndexKind::kHash,
-                            stmt.unique);
+  if (!s.ok() || stmt.primary_key.empty()) return s;
+  return db_->CreateIndex(stmt.schema.name(), "pk_" + stmt.schema.name(),
+                          stmt.primary_key, rdb::IndexKind::kHash, /*unique=*/true);
 }
 
 Status Engine::ExecTxn(const TxnStmt& stmt, Session* session) {

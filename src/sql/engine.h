@@ -1,22 +1,34 @@
-// SQL execution engine: binds parsed statements to an rdb::Database.
+// SQL execution engine: runs parsed statements against an rdb::Database.
+//
+// Every SELECT, EXPLAIN, INSERT, UPDATE and DELETE runs from a compiled
+// Plan (plan.h) and only from one. The plan is built the first time a
+// PreparedStatement runs and kept beside it (dbapi::Connection caches one
+// per statement text), so the catalog lookups, column and predicate
+// binding, access-path choice and lock ordering happen once, not per
+// call. A plan records the database's schema epoch; CREATE TABLE, DROP
+// TABLE and CREATE INDEX move the epoch, and a plan from an older epoch
+// is rebuilt before it runs, so it never holds a dropped Table* or
+// misses a new index. Running a plan reads its parameters in place and
+// reuses its per-level rid and row scratch.
 //
 // Planning is deliberately simple and deterministic, in the spirit of the
 // hand-tuned SQL the 2004 RLS issued through ODBC:
-//   * the first FROM table drives; an equality WHERE predicate with a hash
-//     index (or a </<= predicate with an ordered index) selects the access
-//     path, otherwise the table is scanned;
-//   * joins are left-deep nested loops in FROM-clause order, probing the
-//     inner table's hash index on the join column when one exists.
+//   * joins are left-deep nested loops in FROM-clause order;
+//   * each level is reached by an equality predicate on an indexed
+//     column (hash index first, then ordered), else by a < or <=
+//     predicate on an ordered-index column, else by a sequential scan.
 // The RLS schema indexes every join/lookup column, so all hot queries run
-// index-to-index.
+// index-to-index. EXPLAIN prints each level's access path.
 #pragma once
 
+#include <memory>
 #include <string_view>
 #include <vector>
 
 #include "common/error.h"
 #include "rdb/database.h"
 #include "sql/ast.h"
+#include "sql/plan.h"
 #include "sql/result_set.h"
 #include "sql/session.h"
 
@@ -31,13 +43,22 @@ struct Savepoint {
   std::size_t wal_size = 0;
 };
 
+/// A parsed statement plus the plan compiled from it on its first run.
+/// The plan carries per-execution scratch: one PreparedStatement must not
+/// run on two threads at once.
+struct PreparedStatement {
+  Statement stmt;
+  std::unique_ptr<Plan> plan;  // null until run; rebuilt on a schema change
+};
+
 class Engine {
  public:
   explicit Engine(rdb::Database* db) : db_(db) {}
 
-  /// Executes a parsed statement with positional parameters.
+  /// Executes a prepared statement with positional parameters, planning
+  /// it first if it has no plan for the current schema epoch.
   /// Autocommits unless `session` has an open transaction.
-  rlscommon::Status Execute(const Statement& stmt,
+  rlscommon::Status Execute(PreparedStatement* stmt,
                             const std::vector<rdb::Value>& params,
                             Session* session, ResultSet* result);
 
@@ -71,24 +92,24 @@ class Engine {
   rlscommon::Status RollbackToSavepoint(Session* session, const Savepoint& sp);
 
  private:
-  rlscommon::Status ExecSelect(const SelectStmt& stmt,
-                               const std::vector<rdb::Value>& params,
-                               ResultSet* result);
-  rlscommon::Status ExecInsert(const InsertStmt& stmt,
-                               const std::vector<rdb::Value>& params,
-                               Session* session, ResultSet* result);
-  rlscommon::Status ExecUpdate(const UpdateStmt& stmt,
-                               const std::vector<rdb::Value>& params,
-                               Session* session, ResultSet* result);
-  rlscommon::Status ExecDelete(const DeleteStmt& stmt,
-                               const std::vector<rdb::Value>& params,
-                               Session* session, ResultSet* result);
+  /// Returns the statement's plan, building it when it is missing or
+  /// older than the database's schema epoch.
+  rlscommon::Status Prepare(PreparedStatement* stmt, Plan** plan);
+
+  rlscommon::Status RunSelect(Plan& plan, const std::vector<rdb::Value>& params,
+                              ResultSet* result);
+  rlscommon::Status RunExplain(const Plan& plan, ResultSet* result);
+  rlscommon::Status RunInsert(Plan& plan, const std::vector<rdb::Value>& params,
+                              Session* session, ResultSet* result);
+  rlscommon::Status RunUpdate(Plan& plan, const std::vector<rdb::Value>& params,
+                              Session* session, ResultSet* result);
+  rlscommon::Status RunDelete(Plan& plan, const std::vector<rdb::Value>& params,
+                              Session* session, ResultSet* result);
+
+  /// DDL, VACUUM and transaction control: no plan.
+  rlscommon::Status ExecUnplanned(const Statement& stmt, Session* session);
   rlscommon::Status ExecCreateTable(const CreateTableStmt& stmt);
-  rlscommon::Status ExecCreateIndex(const CreateIndexStmt& stmt);
   rlscommon::Status ExecTxn(const TxnStmt& stmt, Session* session);
-  rlscommon::Status ExecExplain(const ExplainStmt& stmt,
-                                const std::vector<rdb::Value>& params,
-                                ResultSet* result);
 
   /// Commits the session's WAL buffer (autocommit or explicit COMMIT):
   /// CommitWalBegin + CommitWait in one blocking step.

@@ -272,17 +272,28 @@ class Parser {
       }
     }
     if (AcceptKeyword("LIMIT")) {
-      if (Peek().kind != TokenKind::kInt || Peek().int_value < 0) {
-        return Error("LIMIT expects a non-negative integer");
-      }
-      out->limit = static_cast<uint64_t>(Advance().int_value);
+      s = ParseCount("LIMIT", &out->limit, &out->limit_param);
+      if (!s.ok()) return s;
     }
     if (AcceptKeyword("OFFSET")) {
-      if (Peek().kind != TokenKind::kInt || Peek().int_value < 0) {
-        return Error("OFFSET expects a non-negative integer");
-      }
-      out->offset = static_cast<uint64_t>(Advance().int_value);
+      s = ParseCount("OFFSET", &out->offset, &out->offset_param);
+      if (!s.ok()) return s;
     }
+    return Status::Ok();
+  }
+
+  // LIMIT/OFFSET argument: a non-negative integer literal or '?'.
+  Status ParseCount(const char* clause, std::optional<uint64_t>* literal,
+                    std::optional<std::size_t>* param) {
+    if (Peek().kind == TokenKind::kParam) {
+      Advance();
+      *param = param_count_++;
+      return Status::Ok();
+    }
+    if (Peek().kind != TokenKind::kInt || Peek().int_value < 0) {
+      return Error(std::string(clause) + " expects a non-negative integer or ?");
+    }
+    *literal = static_cast<uint64_t>(Advance().int_value);
     return Status::Ok();
   }
 

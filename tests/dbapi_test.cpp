@@ -99,6 +99,80 @@ TEST_F(ConnectionTest, StatementCacheReusesParse) {
   EXPECT_EQ(rs.at(0, 0).AsInt(), 100);
 }
 
+TEST_F(ConnectionTest, StatementCacheKeysOnText) {
+  ResultSet rs;
+  const std::size_t before = conn_->cached_statements();
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(conn_->Execute("SELECT v FROM t WHERE id = ?", {Value::Int(i)}, &rs).ok());
+  }
+  EXPECT_EQ(conn_->cached_statements(), before + 1);
+  const std::string text = "SELECT v FROM t WHERE id = ?";  // same text, new storage
+  ASSERT_TRUE(conn_->Execute(text, {Value::Int(1)}, &rs).ok());
+  EXPECT_EQ(conn_->cached_statements(), before + 1);
+}
+
+TEST_F(ConnectionTest, DropAndRecreateTableReplansCachedStatements) {
+  // The cached plans hold Table pointers; DROP TABLE must not leave them
+  // dangling (ASan would see the use after free) and the recreated table,
+  // with a different shape and an index, must be used.
+  ResultSet rs;
+  ASSERT_TRUE(conn_->Execute("INSERT INTO t (v) VALUES (?)", {Value::String("old")}, &rs).ok());
+  ASSERT_TRUE(conn_->Execute("SELECT v FROM t WHERE v = ?", {Value::String("old")}, &rs).ok());
+  ASSERT_EQ(rs.size(), 1u);
+  ASSERT_TRUE(conn_->Execute("EXPLAIN SELECT v FROM t WHERE v = ?", {Value::String("x")}, &rs)
+                  .ok());
+  EXPECT_EQ(rs.at(0, 1).AsString(), "sequential scan");
+
+  ASSERT_TRUE(conn_->Execute("DROP TABLE t", &rs).ok());
+  EXPECT_EQ(conn_->Execute("SELECT v FROM t WHERE v = ?", {Value::String("old")}, &rs).code(),
+            ErrorCode::kDatabase);
+  ASSERT_TRUE(conn_->Execute("CREATE TABLE t (pad INT, v VARCHAR(50), id INT)", &rs).ok());
+  ASSERT_TRUE(conn_->Execute("CREATE INDEX idx_v ON t (v)", &rs).ok());
+  ASSERT_TRUE(conn_->Execute("INSERT INTO t (v) VALUES (?)", {Value::String("new")}, &rs).ok());
+  ASSERT_TRUE(conn_->Execute("SELECT v FROM t WHERE v = ?", {Value::String("new")}, &rs).ok());
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.at(0, 0).AsString(), "new");
+  ASSERT_TRUE(conn_->Execute("SELECT v FROM t WHERE v = ?", {Value::String("old")}, &rs).ok());
+  EXPECT_TRUE(rs.empty());
+  ASSERT_TRUE(conn_->Execute("EXPLAIN SELECT v FROM t WHERE v = ?", {Value::String("x")}, &rs)
+                  .ok());
+  EXPECT_EQ(rs.at(0, 1).AsString(), "hash index on v (=)");
+}
+
+TEST(ConnectionConcurrencyTest, SameStatementOnTwoConnections) {
+  // Each connection owns its plan and scratch; the same text running on
+  // two threads at once shares only the tables (TSan-checked in CI).
+  Environment env;
+  ASSERT_TRUE(env.CreateDatabase("mysql://twoconn").ok());
+  std::unique_ptr<Connection> a, b;
+  ASSERT_TRUE(Connection::Open(env, "mysql://twoconn", &a).ok());
+  ASSERT_TRUE(Connection::Open(env, "mysql://twoconn", &b).ok());
+  ResultSet rs;
+  ASSERT_TRUE(a->Execute("CREATE TABLE kv (k INT, v INT)", &rs).ok());
+  ASSERT_TRUE(a->Execute("CREATE INDEX idx_k ON kv (k)", &rs).ok());
+  std::atomic<int> failures{0};
+  auto worker = [&](Connection* conn, int base) {
+    ResultSet out;
+    for (int i = 0; i < 300; ++i) {
+      if (!conn->Execute("INSERT INTO kv (k, v) VALUES (?, ?)",
+                         {Value::Int(base + i), Value::Int(i)}, &out)
+               .ok()) {
+        ++failures;
+      }
+      if (!conn->Execute("SELECT v FROM kv WHERE k = ?", {Value::Int(base + i)}, &out).ok() ||
+          out.size() != 1 || out.at(0, 0).AsInt() != i) {
+        ++failures;
+      }
+    }
+  };
+  std::thread ta(worker, a.get(), 0), tb(worker, b.get(), 1000);
+  ta.join();
+  tb.join();
+  EXPECT_EQ(failures.load(), 0);
+  ASSERT_TRUE(a->Execute("SELECT COUNT(*) FROM kv", &rs).ok());
+  EXPECT_EQ(rs.at(0, 0).AsInt(), 600);
+}
+
 TEST_F(ConnectionTest, TransactionHelpers) {
   ResultSet rs;
   ASSERT_TRUE(conn_->Begin().ok());

@@ -96,6 +96,28 @@ TEST_F(LrcStoreTest, WildcardQueries) {
   EXPECT_EQ(mappings.size(), 1u);  // LIMIT applied
 }
 
+TEST_F(LrcStoreTest, WildcardPagingSharesOneCachedStatement) {
+  // LIMIT/OFFSET travel as parameters: client-chosen page sizes must not
+  // grow a pooled connection's statement cache.
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(store_->CreateMapping("lfn://page/" + std::to_string(i), "p").ok());
+  }
+  std::vector<Mapping> mappings;
+  ASSERT_TRUE(store_->WildcardQuery("lfn://page/*", 7, &mappings, 3).ok());
+  EXPECT_EQ(mappings.size(), 7u);
+  auto cached = [&] {
+    dbapi::ConnectionPool::Lease conn;
+    EXPECT_TRUE(store_->pool().Acquire(&conn).ok());
+    return conn->cached_statements();
+  };
+  const std::size_t before = cached();
+  for (uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_TRUE(store_->WildcardQuery("lfn://page/*", i + 1, &mappings, i % 40).ok());
+    ASSERT_EQ(mappings.size(), std::min<std::size_t>(i + 1, 30 - std::min(30u, i % 40)));
+  }
+  EXPECT_EQ(cached(), before);
+}
+
 TEST_F(LrcStoreTest, CountsTrackMappings) {
   EXPECT_EQ(store_->LogicalNameCount(), 0u);
   ASSERT_TRUE(store_->CreateMapping("a", "p1").ok());

@@ -108,7 +108,9 @@ TEST(ServerMetricsTest, FamiliesTrackOperations) {
   for (const rls::FamilyMetrics& f : metrics.families) {
     if (f.family == "lrc_read") reads = f.count;
     if (f.family == "lrc_write") writes = f.count;
-    if (f.count > 0) EXPECT_GT(f.max_us, 0u) << f.family;
+    if (f.count > 0) {
+      EXPECT_GT(f.max_us, 0u) << f.family;
+    }
   }
   EXPECT_EQ(writes, 2u);
   EXPECT_EQ(reads, 1u);

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rdb {
 namespace {
 
@@ -134,6 +136,70 @@ TEST(HashIndexTest, NumericKeysCrossTypeConsistent) {
   std::vector<Rid> rids;
   index.Lookup(Value::Double(3.0), &rids);
   EXPECT_EQ(rids.size(), 1u);
+}
+
+TEST(HashIndexTest, EraseUnderOneKeyIsLinear) {
+  // Every t_map row of one LRC shares its lrc_id key at the RLI. Erasing
+  // all N entries of such a key, in the order a soft-state refresh does,
+  // must cost O(N) probe steps in total, not O(N^2).
+  constexpr int kEntries = 20000;
+  for (IndexDeleteMode mode : {IndexDeleteMode::kErase, IndexDeleteMode::kTombstone}) {
+    HashIndex index(mode);
+    for (int i = 0; i < kEntries; ++i) {
+      index.Insert(Value::Int(7), R(static_cast<uint32_t>(i / 100), i % 100));
+    }
+    const uint64_t before = index.stats().probe_steps;
+    for (int i = 0; i < kEntries; ++i) {
+      index.Erase(Value::Int(7), R(static_cast<uint32_t>(i / 100), i % 100));
+    }
+    EXPECT_LE(index.stats().probe_steps - before, 4u * kEntries);
+    EXPECT_EQ(index.stats().live_entries, 0u);
+    std::vector<Rid> rids;
+    index.Lookup(Value::Int(7), &rids);
+    EXPECT_EQ(rids.size(), mode == IndexDeleteMode::kTombstone ? 20000u : 0u);
+  }
+}
+
+TEST(HashIndexTest, EraseHintsSurviveInterleavedInsertsAndDuplicateRids) {
+  // Refresh pattern: erase the oldest entry of a long key, re-insert it
+  // under a new rid. Duplicate rids (same rid under two keys that share a
+  // bucket) fall back to the chain scan and stay correct.
+  HashIndex index(IndexDeleteMode::kErase);
+  for (uint16_t i = 0; i < 100; ++i) index.Insert(Value::Int(1), R(0, i));
+  index.Insert(Value::Int(1), R(0, 5));  // duplicate rid under the same key
+  for (uint16_t i = 0; i < 100; ++i) {
+    index.Erase(Value::Int(1), R(0, i));
+    index.Insert(Value::Int(1), R(1, i));
+  }
+  std::vector<Rid> rids;
+  index.Lookup(Value::Int(1), &rids);
+  ASSERT_EQ(rids.size(), 101u);
+  std::sort(rids.begin(), rids.end());
+  EXPECT_EQ(rids.front(), R(0, 5));
+  EXPECT_EQ(rids[1], R(1, 0));
+  index.Erase(Value::Int(1), R(0, 5));
+  rids.clear();
+  index.Lookup(Value::Int(1), &rids);
+  EXPECT_EQ(rids.size(), 100u);
+  // Shrink below the hinted length, grow back, and erase everything.
+  for (uint16_t i = 0; i < 90; ++i) index.Erase(Value::Int(1), R(1, i));
+  for (uint16_t i = 0; i < 90; ++i) index.Insert(Value::Int(1), R(2, i));
+  for (uint16_t i = 90; i < 100; ++i) index.Erase(Value::Int(1), R(1, i));
+  for (uint16_t i = 0; i < 90; ++i) index.Erase(Value::Int(1), R(2, i));
+  EXPECT_EQ(index.stats().live_entries, 0u);
+}
+
+TEST(OrderedIndexTest, EraseAmongEqualKeys) {
+  // After a soft-state refresh every t_map row holds the same updatetime.
+  OrderedIndex index;
+  for (uint16_t i = 0; i < 1000; ++i) index.Insert(Value::Timestamp(9), R(0, i));
+  for (uint16_t i = 0; i < 1000; i += 2) index.Erase(Value::Timestamp(9), R(0, i));
+  index.Erase(Value::Timestamp(9), R(7, 7));  // absent: no-op
+  std::vector<Rid> rids;
+  index.Lookup(Value::Timestamp(9), &rids);
+  ASSERT_EQ(rids.size(), 500u);
+  for (const Rid& rid : rids) EXPECT_EQ(rid.slot % 2, 1);
+  EXPECT_EQ(index.size(), 500u);
 }
 
 TEST(OrderedIndexTest, RangeQueries) {

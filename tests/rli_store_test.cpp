@@ -95,6 +95,42 @@ TEST_F(RliRelationalTest, WildcardQuery) {
   EXPECT_EQ(results.size(), 2u);
 }
 
+TEST_F(RliRelationalTest, WildcardLimitsShareOneCachedStatement) {
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(store_->Upsert("lfn://w/" + std::to_string(i), "rls://lrc0", 1).ok());
+  }
+  std::vector<Mapping> results;
+  ASSERT_TRUE(store_->WildcardQuery("lfn://w/*", 0, &results).ok());
+  EXPECT_EQ(results.size(), 10u);
+  auto cached = [&] {
+    dbapi::ConnectionPool::Lease conn;
+    EXPECT_TRUE(store_->pool().Acquire(&conn).ok());
+    return conn->cached_statements();
+  };
+  const std::size_t before = cached();
+  for (uint32_t limit = 1; limit <= 1000; ++limit) {
+    ASSERT_TRUE(store_->WildcardQuery("lfn://w/*", limit, &results).ok());
+    ASSERT_EQ(results.size(), std::min<std::size_t>(limit, 10));
+  }
+  EXPECT_EQ(cached(), before);
+}
+
+TEST_F(RliRelationalTest, FirstIngestInsertsRefreshUpdates) {
+  // A name whose t_lfn row the batch just created gets its t_map row
+  // inserted directly; only names already held are refreshed in place.
+  const std::vector<std::string> names = {"n1", "n2", "n3"};
+  ASSERT_TRUE(store_->UpsertBatch(names, "rls://lrc0", 100).ok());
+  const rdb::Table* map = env_.Find(dsn_)->GetTable("t_map");
+  EXPECT_EQ(map->stats().inserts, 3u);
+  EXPECT_EQ(map->stats().updates, 0u);
+  ASSERT_TRUE(store_->UpsertBatch(names, "rls://lrc0", 200).ok());
+  EXPECT_EQ(map->stats().inserts, 3u);
+  EXPECT_EQ(map->stats().updates, 3u);
+  ASSERT_TRUE(store_->UpsertBatch(names, "rls://lrc1", 300).ok());  // new LRC
+  EXPECT_EQ(map->stats().inserts, 6u);
+  EXPECT_EQ(store_->AssociationCount(), 6u);
+}
+
 TEST_F(RliRelationalTest, ListLrcs) {
   ASSERT_TRUE(store_->Upsert("x", "rls://lrc0", 1).ok());
   ASSERT_TRUE(store_->Upsert("y", "rls://lrc1", 1).ok());

@@ -1,4 +1,5 @@
 #include "sql/engine.h"
+#include "sql/parser.h"
 
 #include <gtest/gtest.h>
 
@@ -320,6 +321,93 @@ TEST_F(EngineTest, OrderBySortsNumbersNotLexically) {
 TEST_F(EngineTest, OrderByUnknownColumnFails) {
   CreateLfnTable();
   EXPECT_FALSE(TryExec("SELECT name FROM t_lfn ORDER BY nope").ok());
+}
+
+TEST_F(EngineTest, LimitAndOffsetParametersMatchLiterals) {
+  CreateLfnTable();
+  for (int i = 0; i < 10; ++i) {
+    Exec("INSERT INTO t_lfn (name, ref) VALUES (?, ?)",
+         {Value::String("p" + std::to_string(i)), Value::Int(i)});
+  }
+  ResultSet literal = Exec("SELECT ref FROM t_lfn ORDER BY ref LIMIT 3 OFFSET 4");
+  ResultSet param = Exec("SELECT ref FROM t_lfn ORDER BY ref LIMIT ? OFFSET ?",
+                         {Value::Int(3), Value::Int(4)});
+  ASSERT_EQ(param.size(), literal.size());
+  for (std::size_t i = 0; i < param.size(); ++i) {
+    EXPECT_EQ(param.at(i, 0).AsInt(), literal.at(i, 0).AsInt());
+  }
+  EXPECT_EQ(Exec("SELECT ref FROM t_lfn LIMIT ?", {Value::Int(0)}).size(), 0u);
+  EXPECT_EQ(Exec("SELECT ref FROM t_lfn LIMIT ?", {Value::Int(4)}).size(), 4u);
+  EXPECT_EQ(Exec("SELECT ref FROM t_lfn WHERE name LIKE 'p%' LIMIT ? OFFSET ?",
+                 {Value::Int(100), Value::Int(8)})
+                .size(),
+            2u);
+  EXPECT_EQ(TryExec("SELECT ref FROM t_lfn LIMIT ?", {Value::String("3")}).code(),
+            ErrorCode::kInvalidArgument);
+}
+
+TEST_F(EngineTest, FailedUpdateLeavesTheTableUnchanged) {
+  CreateLfnTable();
+  Exec("INSERT INTO t_lfn (name, ref) VALUES ('a', 1), ('b', 2)");
+  // The unique index rejects renaming 'b' to 'a' (an autocommit statement
+  // that fails logs and applies nothing).
+  EXPECT_EQ(TryExec("UPDATE t_lfn SET name = 'a' WHERE name = 'b'").code(),
+            ErrorCode::kAlreadyExists);
+  ResultSet rs = Exec("SELECT name FROM t_lfn ORDER BY ref");
+  ASSERT_EQ(rs.size(), 2u);
+  EXPECT_EQ(rs.at(1, 0).AsString(), "b");
+}
+
+/// The PostgreSQL profile through cached plans: index probes still walk
+/// tombstones and fetch dead tuples until VACUUM, and VACUUM changes
+/// costs, not results.
+TEST(EnginePostgresTest, VacuumLeavesCachedPlanResultsUnchanged) {
+  Database db("pg", BackendProfile::PostgreSQL());
+  Engine engine(&db);
+  Session session;
+  ResultSet rs;
+  auto exec = [&](const std::string& sql, const std::vector<Value>& params = {}) {
+    Status s = engine.ExecuteSql(sql, params, &session, &rs);
+    EXPECT_TRUE(s.ok()) << sql << " -> " << s.ToString();
+  };
+  exec("CREATE TABLE t (id INT AUTO_INCREMENT PRIMARY KEY, name VARCHAR(50), v INT)");
+  exec("CREATE UNIQUE INDEX idx_name ON t (name)");
+  for (int round = 0; round < 50; ++round) {  // churn one key: 50 tombstones
+    exec("INSERT INTO t (name, v) VALUES ('hot', ?)", {Value::Int(round)});
+    exec("DELETE FROM t WHERE name = 'hot'");
+  }
+  for (int i = 0; i < 20; ++i) {
+    exec("INSERT INTO t (name, v) VALUES (?, ?)",
+         {Value::String("n" + std::to_string(i)), Value::Int(i)});
+  }
+  exec("INSERT INTO t (name, v) VALUES ('hot', 99)");
+
+  PreparedStatement point, scan;
+  ASSERT_TRUE(Parse("SELECT v FROM t WHERE name = ?", &point.stmt).ok());
+  ASSERT_TRUE(Parse("SELECT name FROM t WHERE v < ? ORDER BY name", &scan.stmt).ok());
+  auto run = [&](PreparedStatement* stmt, Value param) {
+    ResultSet out;
+    EXPECT_TRUE(engine.Execute(stmt, {std::move(param)}, &session, &out).ok());
+    return out;
+  };
+  const rdb::HashIndex* index = db.GetTable("t")->FindHashIndex("name");
+  uint64_t steps = index->stats().probe_steps;
+  ResultSet hot = run(&point, Value::String("hot"));
+  EXPECT_GE(index->stats().probe_steps - steps, 51u);  // walks every tombstone
+  ResultSet low = run(&scan, Value::Int(5));
+
+  exec("VACUUM t");
+  steps = index->stats().probe_steps;
+  ResultSet hot_after = run(&point, Value::String("hot"));
+  EXPECT_LT(index->stats().probe_steps - steps, 51u);
+  ResultSet low_after = run(&scan, Value::Int(5));
+  ASSERT_EQ(hot.size(), 1u);
+  ASSERT_EQ(hot_after.size(), 1u);
+  EXPECT_EQ(hot_after.at(0, 0).AsInt(), 99);
+  ASSERT_EQ(low_after.size(), low.size());
+  for (std::size_t i = 0; i < low.size(); ++i) {
+    EXPECT_EQ(low_after.at(i, 0).AsString(), low.at(i, 0).AsString());
+  }
 }
 
 }  // namespace

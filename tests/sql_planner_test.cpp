@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "sql/engine.h"
+#include "sql/parser.h"
 
 namespace sql {
 namespace {
@@ -93,6 +94,92 @@ TEST_F(PlannerTest, ConstantOnLeftSideStillDrives) {
   ResultSet rs = Exec("EXPLAIN SELECT * FROM t_lfn WHERE ? = name",
                       {Value::String("x")});
   EXPECT_EQ(PathFor(rs, "t_lfn"), "hash index on name (=)");
+}
+
+TEST_F(PlannerTest, MirroredRangePredicateDoesNotDriveLessThan) {
+  // "? < updatetime" means updatetime > ?, which the ordered index's
+  // less-than walk cannot produce.
+  ResultSet rs = Exec("EXPLAIN SELECT * FROM t_map WHERE ? < updatetime",
+                      {Value::Timestamp(5)});
+  EXPECT_EQ(PathFor(rs, "t_map"), "sequential scan");
+  rs = Exec("EXPLAIN SELECT * FROM t_map WHERE ? > updatetime", {Value::Timestamp(5)});
+  EXPECT_EQ(PathFor(rs, "t_map"), "ordered index on updatetime (<)");
+  Exec("INSERT INTO t_map (lfn_id, pfn_id, updatetime) VALUES (1, 1, ?)",
+       {Value::Timestamp(10)});
+  EXPECT_EQ(Exec("SELECT * FROM t_map WHERE ? < updatetime", {Value::Timestamp(5)}).size(),
+            1u);
+  EXPECT_EQ(Exec("SELECT * FROM t_map WHERE ? > updatetime", {Value::Timestamp(5)}).size(),
+            0u);
+}
+
+/// Runs one PreparedStatement repeatedly, as a connection's cache does.
+class CachedPlanTest : public PlannerTest {
+ protected:
+  ResultSet Run(PreparedStatement* stmt, const std::vector<Value>& params = {}) {
+    ResultSet rs;
+    Status s = engine_.Execute(stmt, params, &session_, &rs);
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    return rs;
+  }
+  PreparedStatement Prepare(const std::string& sql) {
+    PreparedStatement stmt;
+    EXPECT_TRUE(Parse(sql, &stmt.stmt).ok()) << sql;
+    return stmt;
+  }
+};
+
+TEST_F(CachedPlanTest, CreateIndexAfterFirstRunChangesThePlan) {
+  Exec("INSERT INTO t_pfn (name, ref) VALUES ('a', 1)");
+  Exec("INSERT INTO t_pfn (name, ref) VALUES ('b', 1)");
+  PreparedStatement explain = Prepare("EXPLAIN SELECT * FROM t_pfn WHERE name = ?");
+  PreparedStatement select = Prepare("SELECT id FROM t_pfn WHERE name = ?");
+  EXPECT_EQ(PathFor(Run(&explain, {Value::String("a")}), "t_pfn"), "sequential scan");
+  const rdb::Table* table = db_.GetTable("t_pfn");
+  const uint64_t scanned = table->stats().seq_scan_rows;
+  EXPECT_EQ(Run(&select, {Value::String("b")}).at(0, 0).AsInt(), 2);
+  EXPECT_EQ(table->stats().seq_scan_rows, scanned + 2);  // the scan path
+
+  const uint64_t epoch = db_.schema_epoch();
+  Exec("CREATE UNIQUE INDEX idx_pfn_name ON t_pfn (name)");
+  EXPECT_GT(db_.schema_epoch(), epoch);
+  EXPECT_EQ(PathFor(Run(&explain, {Value::String("a")}), "t_pfn"),
+            "hash index on name (=)");
+  EXPECT_EQ(Run(&select, {Value::String("b")}).at(0, 0).AsInt(), 2);
+  EXPECT_EQ(table->stats().seq_scan_rows, scanned + 2);  // no scan any more
+}
+
+TEST_F(CachedPlanTest, PlanIsReusedUntilTheSchemaChanges) {
+  PreparedStatement select = Prepare("SELECT id FROM t_lfn WHERE name = ?");
+  Run(&select, {Value::String("x")});
+  const Plan* plan = select.plan.get();
+  ASSERT_NE(plan, nullptr);
+  Exec("INSERT INTO t_lfn (name, ref) VALUES ('x', 1)");  // data, not schema
+  Exec("VACUUM t_lfn");
+  EXPECT_EQ(Run(&select, {Value::String("x")}).size(), 1u);
+  EXPECT_EQ(select.plan.get(), plan);
+  Exec("CREATE TABLE unrelated (k INT)");
+  Run(&select, {Value::String("x")});
+  EXPECT_EQ(select.plan->schema_epoch, db_.schema_epoch());
+}
+
+TEST_F(CachedPlanTest, UnboundParameterIsInvalidArgument) {
+  for (const char* sql : {"SELECT * FROM t_lfn WHERE name = ?",
+                          "INSERT INTO t_lfn (name, ref) VALUES ('n', ?)",
+                          "UPDATE t_lfn SET ref = ? WHERE id = 1",
+                          "DELETE FROM t_lfn WHERE id = ?",
+                          "SELECT * FROM t_lfn LIMIT ?",
+                          "SELECT * FROM t_lfn LIMIT 1 OFFSET ?"}) {
+    PreparedStatement stmt = Prepare(sql);
+    ResultSet rs;
+    EXPECT_EQ(engine_.Execute(&stmt, {}, &session_, &rs).code(),
+              rlscommon::ErrorCode::kInvalidArgument)
+        << sql;
+  }
+  EXPECT_EQ(Exec("SELECT COUNT(*) FROM t_lfn").at(0, 0).AsInt(), 0);
+  PreparedStatement limited = Prepare("SELECT * FROM t_lfn LIMIT ?");
+  ResultSet rs;
+  EXPECT_EQ(engine_.Execute(&limited, {Value::Int(-1)}, &session_, &rs).code(),
+            rlscommon::ErrorCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace rlscommon {
 namespace {
 
@@ -101,13 +104,15 @@ TEST(StartsEndsWithTest, Basic) {
 }
 
 // Property sweep: LIKE -> glob -> match agrees with direct glob semantics.
-class LikeGlobProperty : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+// Parameters are std::string, not const char*, so gtest prints the text
+// rather than a load-address-dependent pointer and test names are stable.
+class LikeGlobProperty : public ::testing::TestWithParam<std::pair<std::string, std::string>> {};
 
 TEST_P(LikeGlobProperty, RoundTripMatches) {
   auto [like, text] = GetParam();
   std::string glob = LikeToGlob(like);
   // Sanity: conversions never change length.
-  EXPECT_EQ(glob.size(), std::string(like).size());
+  EXPECT_EQ(glob.size(), like.size());
   // Matching is well-defined (no crash) and consistent when repeated.
   bool first = WildcardMatch(glob, text);
   EXPECT_EQ(first, WildcardMatch(glob, text));
@@ -115,11 +120,11 @@ TEST_P(LikeGlobProperty, RoundTripMatches) {
 
 INSTANTIATE_TEST_SUITE_P(
     Patterns, LikeGlobProperty,
-    ::testing::Values(std::make_pair("%run%", "lfn://a/run-1/f"),
-                      std::make_pair("lfn%", "lfn://a"),
-                      std::make_pair("_fn%", "lfn://a"),
-                      std::make_pair("%", ""),
-                      std::make_pair("a_b", "axb")));
+    ::testing::Values(std::make_pair(std::string("%run%"), std::string("lfn://a/run-1/f")),
+                      std::make_pair(std::string("lfn%"), std::string("lfn://a")),
+                      std::make_pair(std::string("_fn%"), std::string("lfn://a")),
+                      std::make_pair(std::string("%"), std::string("")),
+                      std::make_pair(std::string("a_b"), std::string("axb"))));
 
 }  // namespace
 }  // namespace rlscommon

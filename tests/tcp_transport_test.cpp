@@ -111,7 +111,15 @@ struct Inbox {
           cv.notify_all();
         }
       });
+      cv.notify_all();
     };
+  }
+
+  /// Waits until the transport has handed over `count` connections, so
+  /// no accept is still in flight on its event loop when the test ends.
+  bool WaitForConnections(std::size_t count, std::chrono::milliseconds deadline) {
+    std::unique_lock<std::mutex> lock(mu);
+    return cv.wait_for(lock, deadline, [&] { return conns.size() >= count; });
   }
 
   bool WaitForMessages(std::size_t count, std::chrono::milliseconds deadline) {
@@ -380,6 +388,7 @@ TEST(TcpTransportTest, OversizedFrameRejected) {
   Message msg;
   msg.payload = std::string(4096, 'z');
   EXPECT_EQ(conn->Send(std::move(msg)).code(), ErrorCode::kProtocol);
+  EXPECT_TRUE(inbox.WaitForConnections(1, 5000ms));
 }
 
 // --- async RPC client over TCP ---
