@@ -41,7 +41,15 @@ RpcServer::RpcServer(Transport* network, std::string address,
     : network_(network),
       address_(std::move(address)),
       options_(std::move(options)),
-      handler_(std::move(handler)) {}
+      handler_(std::move(handler)) {
+  unknown_metrics_ = AddMethod("unknown");
+  for (const MethodName& method : options_.methods) {
+    if (method.opcode >= by_opcode_.size()) {
+      by_opcode_.resize(method.opcode + 1u, unknown_metrics_);
+    }
+    by_opcode_[method.opcode] = AddMethod(method.name);
+  }
+}
 
 RpcServer::~RpcServer() { Stop(); }
 
@@ -131,33 +139,17 @@ std::size_t RpcServer::active_connections() const {
   return connections_.size();
 }
 
-RpcServer::OpMetrics* RpcServer::MetricsFor(uint16_t opcode) {
-  if (!options_.metrics) return nullptr;
-  // Real opcodes are all < 256; anything larger takes the locked path
-  // every time rather than growing the cache unboundedly.
-  const bool cacheable = opcode < kOpcodeCacheSize;
-  if (cacheable) {
-    OpMetrics* cached = op_metrics_[opcode].load(std::memory_order_acquire);
-    if (cached) return cached;
+RpcServer::OpMetrics* RpcServer::AddMethod(std::string method) {
+  OpMetrics& metrics = method_metrics_.emplace_back();
+  metrics.method = std::move(method);
+  if (options_.metrics) {
+    const std::string labels = obs::Label("method", metrics.method);
+    metrics.requests = options_.metrics->GetCounter("rpc_requests_total", labels);
+    metrics.errors = options_.metrics->GetCounter("rpc_errors_total", labels);
+    metrics.latency =
+        options_.metrics->GetHistogram("rpc_request_latency_us", labels);
   }
-  std::lock_guard<std::mutex> lock(op_metrics_mu_);
-  if (cacheable) {
-    OpMetrics* cached = op_metrics_[opcode].load(std::memory_order_acquire);
-    if (cached) return cached;
-  }
-  const std::string method = options_.opcode_name ? options_.opcode_name(opcode)
-                                                  : std::to_string(opcode);
-  const std::string labels = obs::Label("method", method);
-  auto metrics = std::make_unique<OpMetrics>();
-  metrics->method = method;
-  metrics->requests = options_.metrics->GetCounter("rpc_requests_total", labels);
-  metrics->errors = options_.metrics->GetCounter("rpc_errors_total", labels);
-  metrics->latency =
-      options_.metrics->GetHistogram("rpc_request_latency_us", labels);
-  OpMetrics* raw = metrics.get();
-  op_metrics_storage_.push_back(std::move(metrics));
-  if (cacheable) op_metrics_[opcode].store(raw, std::memory_order_release);
-  return raw;
+  return &metrics;
 }
 
 obs::Histogram* RpcServer::StageHistogram(OpMetrics* metrics,
@@ -228,7 +220,8 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
   reply.trace_id = msg.trace_id;
   reply.span_id = msg.span_id;
 
-  OpMetrics* metrics = MetricsFor(msg.opcode);
+  OpMetrics& metrics = msg.opcode < by_opcode_.size() ? *by_opcode_[msg.opcode]
+                                                      : *unknown_metrics_;
   // Make the caller's trace ambient for the handler (and anything it
   // triggers on this thread, e.g. synchronous soft-state sends).
   obs::ScopedTrace trace(obs::TraceContext{msg.trace_id, msg.span_id});
@@ -240,14 +233,7 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
   // subsystem is the two clock stamps taken in ServeConnection.
   std::optional<obs::Span> span;
   if (obs::TracingActive()) {
-    std::string fallback;
-    if (!metrics) {
-      fallback = options_.opcode_name ? options_.opcode_name(msg.opcode)
-                                      : std::to_string(msg.opcode);
-    }
-    span.emplace("rpc", metrics ? std::string_view(metrics->method)
-                                : std::string_view(fallback),
-                 recv_time);
+    span.emplace("rpc", metrics.method, recv_time);
     span->Hop("admission", admit_time);
     span->Hop("queue_wait");  // admit -> a worker picked it up (inline: ~0)
   }
@@ -256,15 +242,15 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
   Status status = handler_(context, msg.opcode, msg.payload, &reply.payload);
   if (span) span->Hop("handler");  // handler time not claimed by inner hops
   const auto handler_elapsed = timer.Elapsed();
-  if (metrics) {
-    metrics->requests->Increment();
-    metrics->latency->Record(handler_elapsed);
-    metrics->latency->OfferExemplar(
+  if (options_.metrics) {
+    metrics.requests->Increment();
+    metrics.latency->Record(handler_elapsed);
+    metrics.latency->OfferExemplar(
         static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::microseconds>(
                                   handler_elapsed)
                                   .count()),
         msg.trace_id);
-    if (!status.ok()) metrics->errors->Increment();
+    if (!status.ok()) metrics.errors->Increment();
   }
   requests_.fetch_add(1, std::memory_order_relaxed);
   if (!status.ok()) {
@@ -277,7 +263,7 @@ void RpcServer::ExecuteRequest(const std::shared_ptr<Connection>& conn,
   (void)send_status;
   if (span) {
     span->End("reply");
-    if (metrics) RecordStageLatencies(metrics, *span, msg.trace_id);
+    if (options_.metrics) RecordStageLatencies(&metrics, *span, msg.trace_id);
     span.reset();  // completes the span: recorder entry + slow-WARN check
   }
 }

@@ -16,7 +16,6 @@
 // responses carry {u8 error code, string message}.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -70,6 +69,12 @@ struct AdmitDecision {
 using AdmissionHook = std::function<AdmitDecision(
     const gsi::AuthContext&, uint16_t opcode, const std::string& request)>;
 
+/// One registered RPC method: its opcode and its `method` label.
+struct MethodName {
+  uint16_t opcode = 0;
+  std::string name;
+};
+
 struct ServerOptions {
   std::string name = "rls-server";
   gsi::AuthManager auth = gsi::AuthManager::Open();
@@ -80,17 +85,19 @@ struct ServerOptions {
   /// The registry must outlive the server.
   obs::Registry* metrics = nullptr;
 
-  /// Renders an opcode as the `method` label value (e.g. rls::OpName).
-  /// Unset = the decimal opcode.
-  std::function<std::string(uint16_t)> opcode_name;
+  /// The methods the handler serves (e.g. from rls::Methods()). Each one
+  /// gets its instruments and span name once, at construction; every
+  /// other opcode bills to one shared method="unknown" entry, so no
+  /// opcode a client sends can grow the registry.
+  std::vector<MethodName> methods;
 
   /// Admission policy; unset = admit everything on the normal lane.
   AdmissionHook admission;
 
-  /// Worker threads executing admitted requests. 0 (default) keeps the
-  /// legacy thread-per-connection execution: handlers run inline on the
-  /// connection thread and the run queue below is unused (admission
-  /// still applies).
+  /// Worker threads executing admitted requests. 0 (default) runs each
+  /// handler inline on its connection's thread and leaves the run
+  /// queue below unused (admission still applies); > 0 moves execution
+  /// to a pool of that many workers fed by the run queue.
   int workers = 0;
 
   /// Normal-lane run-queue bound (requests waiting for a worker).
@@ -129,10 +136,11 @@ class RpcServer {
   std::size_t active_connections() const;
 
  private:
-  /// Per-opcode instrument pointers, resolved once per opcode and cached
-  /// so the request hot path does no registry (map+mutex) lookups.
+  /// One method's label and instrument pointers (null without a
+  /// registry), resolved at construction so the request hot path does no
+  /// registry (map+mutex) lookups.
   struct OpMetrics {
-    std::string method;  // rendered method label for this opcode
+    std::string method;  // the `method` label
     obs::Counter* requests = nullptr;
     obs::Counter* errors = nullptr;
     obs::Histogram* latency = nullptr;
@@ -150,7 +158,6 @@ class RpcServer {
     std::mutex stage_mu;  // serializes table updates only
     std::vector<std::unique_ptr<const StageTable>> stage_versions;
   };
-  static constexpr std::size_t kOpcodeCacheSize = 256;
 
   /// One admitted request parked in the run queue. The auth context is
   /// copied at admission: the connection thread may re-authenticate
@@ -166,7 +173,7 @@ class RpcServer {
   };
 
   void ServeConnection(std::shared_ptr<Connection> conn);
-  OpMetrics* MetricsFor(uint16_t opcode);
+  OpMetrics* AddMethod(std::string method);
 
   /// Stage histogram for (opcode method, stage); created on first use.
   obs::Histogram* StageHistogram(OpMetrics* metrics, std::string_view stage);
@@ -207,10 +214,12 @@ class RpcServer {
   std::vector<std::thread> workers_;
   obs::Counter* shed_queue_full_ = nullptr;
 
-  // Cache slots are created lazily and retired only at destruction.
-  std::array<std::atomic<OpMetrics*>, kOpcodeCacheSize> op_metrics_{};
-  std::mutex op_metrics_mu_;
-  std::vector<std::unique_ptr<OpMetrics>> op_metrics_storage_;
+  // Per-method entries, fixed after construction (a deque keeps their
+  // addresses stable). by_opcode_ maps each opcode below its size to its
+  // entry or, for a gap, to unknown_metrics_.
+  std::deque<OpMetrics> method_metrics_;
+  std::vector<OpMetrics*> by_opcode_;
+  OpMetrics* unknown_metrics_ = nullptr;
 
   mutable std::mutex mu_;
   uint64_t next_conn_id_ = 0;

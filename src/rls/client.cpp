@@ -284,41 +284,6 @@ Status LrcClient::ForceUpdate() {
   return rpc_->Call(kLrcForceUpdate, "", &response);
 }
 
-Status LrcClient::Ping() {
-  std::string response;
-  return rpc_->Call(kPing, "", &response);
-}
-
-Status LrcClient::Stats(ServerStats* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerStats, "", &response);
-  if (!s.ok()) return s;
-  return DecodeStats(response, stats);
-}
-
-Status LrcClient::Metrics(MetricsResponse* metrics) {
-  std::string response;
-  Status s = rpc_->Call(kServerMetrics, "", &response);
-  if (!s.ok()) return s;
-  return MetricsResponse::Decode(response, metrics);
-}
-
-Status LrcClient::GetStats(GetStatsResponse* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerGetStats, "", &response);
-  if (!s.ok()) return s;
-  return GetStatsResponse::Decode(response, stats);
-}
-
-Status LrcClient::GetTraces(const GetTracesRequest& filter,
-                            GetTracesResponse* traces) {
-  std::string request, response;
-  filter.Encode(&request);
-  Status s = rpc_->Call(kServerGetTraces, request, &response);
-  if (!s.ok()) return s;
-  return GetTracesResponse::Decode(response, traces);
-}
-
 Status RliClient::Connect(net::Transport* network, const std::string& address,
                           const ClientConfig& config, std::unique_ptr<RliClient>* out) {
   std::unique_ptr<net::RpcClient> rpc;
@@ -384,27 +349,20 @@ Status RliClient::LrcList(std::vector<std::string>* lrcs) {
   return Status::Ok();
 }
 
-Status RliClient::Ping() {
+Status ServerClient::Ping() {
   std::string response;
   return rpc_->Call(kPing, "", &response);
 }
 
-Status RliClient::Stats(ServerStats* stats) {
-  std::string response;
-  Status s = rpc_->Call(kServerStats, "", &response);
-  if (!s.ok()) return s;
-  return DecodeStats(response, stats);
-}
-
-Status RliClient::GetStats(GetStatsResponse* stats) {
+Status ServerClient::GetStats(GetStatsResponse* stats) {
   std::string response;
   Status s = rpc_->Call(kServerGetStats, "", &response);
   if (!s.ok()) return s;
   return GetStatsResponse::Decode(response, stats);
 }
 
-Status RliClient::GetTraces(const GetTracesRequest& filter,
-                            GetTracesResponse* traces) {
+Status ServerClient::GetTraces(const GetTracesRequest& filter,
+                               GetTracesResponse* traces) {
   std::string request, response;
   filter.Encode(&request);
   Status s = rpc_->Call(kServerGetTraces, request, &response);

@@ -37,8 +37,27 @@ struct ClientConfig {
   obs::Registry* metrics = nullptr;
 };
 
+/// The calls every server answers, whatever its role: a liveness probe
+/// and introspection (GetStats and GetTraces require the kStats
+/// privilege).
+class ServerClient {
+ public:
+  rlscommon::Status Ping();
+  /// Full introspection snapshot: vitals plus every registry instrument.
+  rlscommon::Status GetStats(GetStatsResponse* stats);
+  /// Flight-recorder dump.
+  rlscommon::Status GetTraces(const GetTracesRequest& filter,
+                              GetTracesResponse* traces);
+
+ protected:
+  explicit ServerClient(std::unique_ptr<net::RpcClient> rpc) : rpc_(std::move(rpc)) {}
+  ~ServerClient() = default;
+
+  std::unique_ptr<net::RpcClient> rpc_;
+};
+
 /// Client for a server's LRC role — every LRC operation of Table 1.
-class LrcClient {
+class LrcClient : public ServerClient {
  public:
   static rlscommon::Status Connect(net::Transport* network, const std::string& address,
                                    const ClientConfig& config,
@@ -101,18 +120,8 @@ class LrcClient {
   /// Triggers an immediate soft-state update round.
   rlscommon::Status ForceUpdate();
 
-  rlscommon::Status Ping();
-  rlscommon::Status Stats(ServerStats* stats);
-  /// Per-operation-family latency histograms (monitoring).
-  rlscommon::Status Metrics(MetricsResponse* metrics);
-  /// Full introspection snapshot (requires the kStats privilege).
-  rlscommon::Status GetStats(GetStatsResponse* stats);
-  /// Flight-recorder dump (requires the kStats privilege).
-  rlscommon::Status GetTraces(const GetTracesRequest& filter,
-                              GetTracesResponse* traces);
-
  private:
-  explicit LrcClient(std::unique_ptr<net::RpcClient> rpc) : rpc_(std::move(rpc)) {}
+  explicit LrcClient(std::unique_ptr<net::RpcClient> rpc) : ServerClient(std::move(rpc)) {}
 
   rlscommon::Status MappingOp(uint16_t opcode, const std::string& logical,
                               const std::string& target);
@@ -123,12 +132,10 @@ class LrcClient {
                                 const AttrValue& value);
   rlscommon::Status BulkAttrOp(uint16_t opcode, const std::vector<AttrValueRequest>& items,
                                BulkStatusResponse* result);
-
-  std::unique_ptr<net::RpcClient> rpc_;
 };
 
 /// Client for a server's RLI role.
-class RliClient {
+class RliClient : public ServerClient {
  public:
   static rlscommon::Status Connect(net::Transport* network, const std::string& address,
                                    const ClientConfig& config,
@@ -145,18 +152,8 @@ class RliClient {
   /// LRCs that update this RLI.
   rlscommon::Status LrcList(std::vector<std::string>* lrcs);
 
-  rlscommon::Status Ping();
-  rlscommon::Status Stats(ServerStats* stats);
-  /// Full introspection snapshot (requires the kStats privilege).
-  rlscommon::Status GetStats(GetStatsResponse* stats);
-  /// Flight-recorder dump (requires the kStats privilege).
-  rlscommon::Status GetTraces(const GetTracesRequest& filter,
-                              GetTracesResponse* traces);
-
  private:
-  explicit RliClient(std::unique_ptr<net::RpcClient> rpc) : rpc_(std::move(rpc)) {}
-
-  std::unique_ptr<net::RpcClient> rpc_;
+  explicit RliClient(std::unique_ptr<net::RpcClient> rpc) : ServerClient(std::move(rpc)) {}
 };
 
 }  // namespace rls

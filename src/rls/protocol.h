@@ -3,7 +3,8 @@
 // Every client operation of Table 1 has an opcode; soft-state updates
 // (uncompressed full, incremental/immediate, Bloom-compressed) have their
 // own opcode family. Full updates stream in chunks so the link model
-// charges realistic per-message costs for large catalogs.
+// charges realistic per-message costs for large catalogs. The method
+// table (rls/methods.h) gives each opcode its name, privilege and handler.
 #pragma once
 
 #include <cstdint>
@@ -18,8 +19,7 @@ namespace rls {
 
 enum Op : uint16_t {
   kPing = 1,
-  kServerStats = 2,
-  kServerMetrics = 3,   // per-operation-family latency histograms
+  // 2 and 3 are retired (folded into kServerGetStats); never reuse them.
   kServerGetStats = 4,  // full introspection snapshot (requires kStats)
   kServerGetTraces = 5, // flight-recorder dump (requires kStats)
 
@@ -68,10 +68,6 @@ enum Op : uint16_t {
   kSsIncremental = 63,
   kSsBloom = 64,
 };
-
-/// Human-readable opcode name ("lrc_add", "rli_query_lfn"...); used as
-/// the `method` metric label. Unknown opcodes render as "op_<n>".
-std::string OpName(uint16_t opcode);
 
 // ---------------------------------------------------------------------
 // Request/response structs. Encode appends to a payload string; Decode
@@ -227,29 +223,6 @@ struct BloomUpdate {
 
   void Encode(std::string* out) const;
   static rlscommon::Status Decode(std::string_view data, BloomUpdate* out);
-};
-
-/// Server stats codec.
-void EncodeStats(const ServerStats& stats, std::string* out);
-rlscommon::Status DecodeStats(std::string_view data, ServerStats* out);
-
-/// One operation family's latency summary (kServerMetrics).
-struct FamilyMetrics {
-  std::string family;   // "lrc_read", "lrc_write", "rli_query", "soft_state"
-  uint64_t count = 0;
-  double mean_us = 0;
-  uint64_t p50_us = 0;
-  uint64_t p95_us = 0;
-  uint64_t p99_us = 0;
-  uint64_t p999_us = 0;
-  uint64_t max_us = 0;
-};
-
-struct MetricsResponse {
-  std::vector<FamilyMetrics> families;
-
-  void Encode(std::string* out) const;
-  static rlscommon::Status Decode(std::string_view data, MetricsResponse* out);
 };
 
 // ---------------------------------------------------------------------

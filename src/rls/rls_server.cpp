@@ -14,16 +14,17 @@ using rlscommon::Status;
 
 namespace {
 
-/// Single-mapping decode helper for kLrcCreate/kLrcAdd/kLrcDelete.
-Status DecodeOneMapping(const std::string& request, Mapping* out) {
+/// Decodes a single-mapping MappingRequest and applies `mutate` to it.
+Status MutateOne(LrcStore& store,
+                 Status (LrcStore::*mutate)(const std::string&, const std::string&),
+                 const std::string& request) {
   MappingRequest req;
   Status s = MappingRequest::Decode(request, &req);
   if (!s.ok()) return s;
   if (req.mappings.size() != 1) {
     return Status::Protocol("expected exactly one mapping");
   }
-  *out = std::move(req.mappings[0]);
-  return Status::Ok();
+  return (store.*mutate)(req.mappings[0].logical, req.mappings[0].target);
 }
 
 /// Merges `extra` into `base`, dropping duplicates, preserving order.
@@ -35,20 +36,68 @@ void MergeUnique(std::vector<std::string>* base, const std::vector<std::string>&
   }
 }
 
+/// Decodes a MappingRequest and applies it as one batched store mutation:
+/// one multi-row WAL transaction (single log append + single sync)
+/// instead of a commit per item.
+Status BulkMutate(LrcStore& store,
+                  Status (LrcStore::*mutate)(const std::vector<Mapping>&,
+                                             BulkStatusResponse*),
+                  const std::string& request, std::string* response) {
+  MappingRequest req;
+  Status s = MappingRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  BulkStatusResponse result;
+  s = (store.*mutate)(req.mappings, &result);
+  if (!s.ok()) return s;
+  result.Encode(response);
+  return Status::Ok();
+}
+
+/// Decodes a NameQueryRequest and answers it with one paged store query.
+Status NameQuery(const LrcStore& store,
+                 Status (LrcStore::*query)(const std::string&, std::vector<std::string>*,
+                                           uint32_t, uint32_t) const,
+                 const std::string& request, std::string* response) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  StringListResponse result;
+  s = (store.*query)(req.name, &result.values, req.offset, req.limit);
+  if (!s.ok()) return s;
+  result.Encode(response);
+  return Status::Ok();
+}
+
+/// Decodes a BulkAttrRequest and applies `op` to each item; failed items
+/// are reported per item without failing the batch.
+template <typename Op>
+Status BulkAttr(const std::string& request, std::string* response, Op op) {
+  BulkAttrRequest req;
+  Status s = BulkAttrRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  BulkStatusResponse result;
+  for (uint32_t i = 0; i < req.items.size(); ++i) {
+    Status item = op(req.items[i]);
+    if (item.ok()) {
+      ++result.succeeded;
+    } else {
+      result.failures.push_back({i, item.code()});
+    }
+  }
+  result.Encode(response);
+  return Status::Ok();
+}
+
+Status BloomOnlyRli() {
+  return Status::Unsupported("RLI accepts only Bloom updates (no database)");
+}
+
 }  // namespace
 
 RlsServer::RlsServer(net::Transport* network, RlsServerConfig config,
                      dbapi::Environment* env, rlscommon::Clock* clock)
     : network_(network), config_(std::move(config)), env_(env), clock_(clock) {
   if (config_.url.empty()) config_.url = config_.address;
-  lrc_read_latency_ = registry_.GetHistogram("rls_family_latency_us",
-                                             obs::Label("family", "lrc_read"));
-  lrc_write_latency_ = registry_.GetHistogram("rls_family_latency_us",
-                                              obs::Label("family", "lrc_write"));
-  rli_query_latency_ = registry_.GetHistogram("rls_family_latency_us",
-                                              obs::Label("family", "rli_query"));
-  soft_state_latency_ = registry_.GetHistogram(
-      "rls_family_latency_us", obs::Label("family", "soft_state"));
   rli_updates_received_ = registry_.GetCounter("rli_updates_received_total");
   rli_expired_entries_ = registry_.GetCounter("rli_expired_entries_total");
   ss_receive_lag_ = registry_.GetHistogram("ss_receive_lag_us");
@@ -135,7 +184,9 @@ Status RlsServer::Start() {
   options.name = config_.url;
   options.auth = config_.auth;
   options.metrics = &registry_;
-  options.opcode_name = OpName;
+  for (const Method& method : Methods()) {
+    options.methods.push_back({method.opcode, std::string(method.name)});
+  }
   if (config_.limits.Enabled()) {
     admission_ = std::make_unique<AdmissionController>(config_.limits, clock_,
                                                        &registry_);
@@ -396,568 +447,479 @@ void RlsServer::ExpireLoop() {
   }
 }
 
-MetricsResponse RlsServer::Metrics() const {
-  MetricsResponse metrics;
-  auto add = [&](const char* family, const obs::Histogram* hist) {
-    auto snap = hist->GetSnapshot();
-    FamilyMetrics f;
-    f.family = family;
-    f.count = snap.count;
-    f.mean_us = snap.mean_us;
-    f.p50_us = snap.p50_us;
-    f.p95_us = snap.p95_us;
-    f.p99_us = snap.p99_us;
-    f.p999_us = snap.p999_us;
-    f.max_us = snap.max_us;
-    metrics.families.push_back(std::move(f));
+std::span<const Method> Methods() {
+  using P = gsi::Privilege;
+  using S = RlsServer;
+  static constexpr Method kMethods[] = {
+      {kPing, "ping", std::nullopt, &S::Ping},
+      {kServerGetStats, "server_get_stats", P::kStats, &S::GetStats},
+      {kServerGetTraces, "server_get_traces", P::kStats, &S::GetTraces},
+      {kLrcCreate, "lrc_create", P::kLrcWrite, &S::LrcCreate},
+      {kLrcAdd, "lrc_add", P::kLrcWrite, &S::LrcAdd},
+      {kLrcDelete, "lrc_delete", P::kLrcWrite, &S::LrcDelete},
+      {kLrcBulkCreate, "lrc_bulk_create", P::kLrcWrite, &S::LrcBulkCreate},
+      {kLrcBulkAdd, "lrc_bulk_add", P::kLrcWrite, &S::LrcBulkAdd},
+      {kLrcBulkDelete, "lrc_bulk_delete", P::kLrcWrite, &S::LrcBulkDelete},
+      {kLrcQueryLfn, "lrc_query_lfn", P::kLrcRead, &S::LrcQueryLfn},
+      {kLrcQueryPfn, "lrc_query_pfn", P::kLrcRead, &S::LrcQueryPfn},
+      {kLrcBulkQueryLfn, "lrc_bulk_query_lfn", P::kLrcRead, &S::LrcBulkQueryLfn},
+      {kLrcWildcardQueryLfn, "lrc_wildcard_query_lfn", P::kLrcRead, &S::LrcWildcardQuery},
+      {kLrcExists, "lrc_exists", P::kLrcRead, &S::LrcExists},
+      {kLrcAttrDefine, "lrc_attr_define", P::kLrcWrite, &S::LrcAttrDefine},
+      {kLrcAttrAdd, "lrc_attr_add", P::kLrcWrite, &S::LrcAttrAdd},
+      {kLrcAttrModify, "lrc_attr_modify", P::kLrcWrite, &S::LrcAttrModify},
+      {kLrcAttrDelete, "lrc_attr_delete", P::kLrcWrite, &S::LrcAttrDelete},
+      {kLrcAttrQueryObj, "lrc_attr_query_obj", P::kLrcRead, &S::LrcAttrQueryObj},
+      {kLrcAttrSearch, "lrc_attr_search", P::kLrcRead, &S::LrcAttrSearch},
+      {kLrcBulkAttrAdd, "lrc_bulk_attr_add", P::kLrcWrite, &S::LrcBulkAttrAdd},
+      {kLrcBulkAttrDelete, "lrc_bulk_attr_delete", P::kLrcWrite, &S::LrcBulkAttrDelete},
+      {kLrcAttrUndefine, "lrc_attr_undefine", P::kLrcWrite, &S::LrcAttrUndefine},
+      {kLrcRliList, "lrc_rli_list", P::kAdmin, &S::LrcRliList},
+      {kLrcRliAdd, "lrc_rli_add", P::kAdmin, &S::LrcRliAdd},
+      {kLrcRliRemove, "lrc_rli_remove", P::kAdmin, &S::LrcRliRemove},
+      {kLrcForceUpdate, "lrc_force_update", P::kAdmin, &S::LrcForceUpdate},
+      {kRliQueryLfn, "rli_query_lfn", P::kRliRead, &S::RliQueryLfn},
+      {kRliBulkQuery, "rli_bulk_query", P::kRliRead, &S::RliBulkQuery},
+      {kRliWildcardQuery, "rli_wildcard_query", P::kRliRead, &S::RliWildcardQuery},
+      {kRliLrcList, "rli_lrc_list", P::kRliRead, &S::RliLrcList},
+      {kSsFullBegin, "ss_full_begin", P::kRliWrite, &S::SsFullBegin},
+      {kSsFullChunk, "ss_full_chunk", P::kRliWrite, &S::SsFullChunk},
+      {kSsFullEnd, "ss_full_end", P::kRliWrite, &S::SsFullEnd},
+      {kSsIncremental, "ss_incremental", P::kRliWrite, &S::SsIncremental},
+      {kSsBloom, "ss_bloom", P::kRliWrite, &S::SsBloom},
   };
-  add("lrc_read", lrc_read_latency_);
-  add("lrc_write", lrc_write_latency_);
-  add("rli_query", rli_query_latency_);
-  add("soft_state", soft_state_latency_);
-  return metrics;
+  return kMethods;
 }
 
-namespace {
-
-/// Which latency family an opcode bills to; nullptr = untracked.
-enum class OpFamily { kNone, kLrcRead, kLrcWrite, kRliQuery, kSoftState };
-
-OpFamily FamilyFor(uint16_t opcode) {
-  switch (opcode) {
-    case kLrcQueryLfn:
-    case kLrcQueryPfn:
-    case kLrcBulkQueryLfn:
-    case kLrcWildcardQueryLfn:
-    case kLrcExists:
-    case kLrcAttrQueryObj:
-    case kLrcAttrSearch:
-    case kLrcRliList:
-      return OpFamily::kLrcRead;
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete:
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete:
-    case kLrcAttrDefine:
-    case kLrcAttrUndefine:
-    case kLrcAttrAdd:
-    case kLrcAttrModify:
-    case kLrcAttrDelete:
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete:
-      return OpFamily::kLrcWrite;
-    case kRliQueryLfn:
-    case kRliBulkQuery:
-    case kRliWildcardQuery:
-    case kRliLrcList:
-      return OpFamily::kRliQuery;
-    case kSsFullBegin:
-    case kSsFullChunk:
-    case kSsFullEnd:
-    case kSsIncremental:
-    case kSsBloom:
-      return OpFamily::kSoftState;
-    default:
-      return OpFamily::kNone;
-  }
+const Method* FindMethod(uint16_t opcode) {
+  static const std::vector<const Method*> by_opcode = [] {
+    std::vector<const Method*> index;
+    for (const Method& method : Methods()) {
+      if (method.opcode >= index.size()) index.resize(method.opcode + 1u, nullptr);
+      index[method.opcode] = &method;
+    }
+    return index;
+  }();
+  return opcode < by_opcode.size() ? by_opcode[opcode] : nullptr;
 }
-
-}  // namespace
 
 Status RlsServer::Handle(const gsi::AuthContext& auth, uint16_t opcode,
                          const std::string& request, std::string* response) {
-  rlscommon::Stopwatch watch(clock_);
-  Status status = Dispatch(auth, opcode, request, response);
-  switch (FamilyFor(opcode)) {
-    case OpFamily::kLrcRead: lrc_read_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kLrcWrite: lrc_write_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kRliQuery: rli_query_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kSoftState: soft_state_latency_->Record(watch.Elapsed()); break;
-    case OpFamily::kNone: break;
+  const Method* method = FindMethod(opcode);
+  if (!method) return Status::Protocol("unknown opcode " + std::to_string(opcode));
+  const Role role = RequiredRole(*method);
+  if (role == Role::kLrc && !config_.lrc.enabled) {
+    return Status::Unsupported("server has no LRC role");
   }
-  return status;
+  if (role == Role::kRli && !config_.rli.enabled) {
+    return Status::Unsupported("server has no RLI role");
+  }
+  if (method->privilege) {
+    Status s = config_.auth.Authorize(auth, *method->privilege);
+    rlscommon::StampHop("auth");
+    if (!s.ok()) return s;
+  }
+  return (this->*method->handler)(request, response);
 }
 
-Status RlsServer::Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
-                           const std::string& request, std::string* response) {
-  if (opcode == kPing) {
-    *response = "pong";
-    return Status::Ok();
-  }
-  if (opcode == kServerStats) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    EncodeStats(Stats(), response);
-    return Status::Ok();
-  }
-  if (opcode == kServerMetrics) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    Metrics().Encode(response);
-    return Status::Ok();
-  }
-  if (opcode == kServerGetStats) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    GetStatsSnapshot().Encode(response);
-    return Status::Ok();
-  }
-  if (opcode == kServerGetTraces) {
-    Status s = config_.auth.Authorize(auth, gsi::Privilege::kStats);
-    if (!s.ok()) return s;
-    GetTracesRequest req;
-    s = GetTracesRequest::Decode(request, &req);
-    if (!s.ok()) return s;
-    obs::TraceFilter filter;
-    filter.trace_id = req.trace_id;
-    filter.name = req.method;
-    filter.component = req.component;
-    filter.min_duration_us = req.min_duration_us;
-    filter.limit = req.limit;
-    filter.slow_log = req.source == kTraceSourceSlowLog;
-    obs::SpanRecorder& recorder = obs::SpanRecorder::Global();
-    const obs::SpanRecorder::Stats rstats = recorder.GetStats();
-    GetTracesResponse resp;
-    resp.depth = rstats.depth;
-    resp.dropped = rstats.dropped;
-    resp.capacity = rstats.capacity;
-    for (obs::CompletedSpan& span : recorder.Query(filter)) {
-      TraceSpan out;
-      out.component = std::move(span.component);
-      out.name = std::move(span.name);
-      out.trace_id = span.trace_id;
-      out.span_id = span.span_id;
-      out.tid = span.tid;
-      out.start_us = span.start_us;
-      out.duration_us = span.duration_us;
-      out.hops.reserve(span.hops.size());
-      for (auto& [hop_name, offset_us] : span.hops) {
-        out.hops.push_back(TraceHop{std::move(hop_name), offset_us});
-      }
-      resp.spans.push_back(std::move(out));
-    }
-    resp.Encode(response);
-    return Status::Ok();
-  }
-  if (opcode >= kLrcCreate && opcode <= kLrcForceUpdate) {
-    if (!config_.lrc.enabled) return Status::Unsupported("server has no LRC role");
-    return HandleLrc(auth, opcode, request, response);
-  }
-  if (opcode >= kRliQueryLfn && opcode <= kRliLrcList) {
-    if (!config_.rli.enabled) return Status::Unsupported("server has no RLI role");
-    return HandleRli(auth, opcode, request, response);
-  }
-  if (opcode >= kSsFullBegin && opcode <= kSsBloom) {
-    if (!config_.rli.enabled) return Status::Unsupported("server has no RLI role");
-    return HandleSoftState(auth, opcode, request, response);
-  }
-  return Status::Protocol("unknown opcode " + std::to_string(opcode));
+// --- server ---
+
+Status RlsServer::Ping(const std::string&, std::string* response) {
+  *response = "pong";
+  return Status::Ok();
 }
 
-Status RlsServer::HandleLrc(const gsi::AuthContext& auth, uint16_t opcode,
-                            const std::string& request, std::string* response) {
-  LrcStore& store = *lrc_store_;
+Status RlsServer::GetStats(const std::string&, std::string* response) {
+  GetStatsSnapshot().Encode(response);
+  return Status::Ok();
+}
 
-  // Privilege per opcode family.
-  gsi::Privilege needed = gsi::Privilege::kLrcRead;
-  switch (opcode) {
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete:
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete:
-    case kLrcAttrDefine:
-    case kLrcAttrAdd:
-    case kLrcAttrModify:
-    case kLrcAttrDelete:
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete:
-    case kLrcAttrUndefine:
-      needed = gsi::Privilege::kLrcWrite;
-      break;
-    case kLrcRliList:
-    case kLrcRliAdd:
-    case kLrcRliRemove:
-    case kLrcForceUpdate:
-      needed = gsi::Privilege::kAdmin;
-      break;
-    default:
-      needed = gsi::Privilege::kLrcRead;
-  }
-  Status s = config_.auth.Authorize(auth, needed);
-  rlscommon::StampHop("auth");
+Status RlsServer::GetTraces(const std::string& request, std::string* response) {
+  GetTracesRequest req;
+  Status s = GetTracesRequest::Decode(request, &req);
   if (!s.ok()) return s;
-
-  switch (opcode) {
-    case kLrcCreate:
-    case kLrcAdd:
-    case kLrcDelete: {
-      Mapping m;
-      s = DecodeOneMapping(request, &m);
-      if (!s.ok()) return s;
-      if (opcode == kLrcCreate) return store.CreateMapping(m.logical, m.target);
-      if (opcode == kLrcAdd) return store.AddMapping(m.logical, m.target);
-      return store.DeleteMapping(m.logical, m.target);
+  obs::TraceFilter filter;
+  filter.trace_id = req.trace_id;
+  filter.name = req.method;
+  filter.component = req.component;
+  filter.min_duration_us = req.min_duration_us;
+  filter.limit = req.limit;
+  filter.slow_log = req.source == kTraceSourceSlowLog;
+  obs::SpanRecorder& recorder = obs::SpanRecorder::Global();
+  const obs::SpanRecorder::Stats rstats = recorder.GetStats();
+  GetTracesResponse resp;
+  resp.depth = rstats.depth;
+  resp.dropped = rstats.dropped;
+  resp.capacity = rstats.capacity;
+  for (obs::CompletedSpan& span : recorder.Query(filter)) {
+    TraceSpan out;
+    out.component = std::move(span.component);
+    out.name = std::move(span.name);
+    out.trace_id = span.trace_id;
+    out.span_id = span.span_id;
+    out.tid = span.tid;
+    out.start_us = span.start_us;
+    out.duration_us = span.duration_us;
+    out.hops.reserve(span.hops.size());
+    for (auto& [hop_name, offset_us] : span.hops) {
+      out.hops.push_back(TraceHop{std::move(hop_name), offset_us});
     }
-    case kLrcBulkCreate:
-    case kLrcBulkAdd:
-    case kLrcBulkDelete: {
-      MappingRequest req;
-      s = MappingRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      // One multi-row WAL transaction for the whole batch (single log
-      // append + single sync) instead of a commit per item.
-      BulkStatusResponse result;
-      if (opcode == kLrcBulkCreate) {
-        s = store.CreateMappings(req.mappings, &result);
-      } else if (opcode == kLrcBulkAdd) {
-        s = store.AddMappings(req.mappings, &result);
-      } else {
-        s = store.DeleteMappings(req.mappings, &result);
-      }
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcQueryLfn:
-    case kLrcQueryPfn: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      StringListResponse result;
-      s = opcode == kLrcQueryLfn
-              ? store.QueryLogical(req.name, &result.values, req.offset, req.limit)
-              : store.QueryTarget(req.name, &result.values, req.offset, req.limit);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcBulkQueryLfn: {
-      BulkQueryRequest req;
-      s = BulkQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      MappingListResponse result;
-      std::vector<std::string> targets;
-      for (const std::string& lfn : req.names) {
-        if (store.QueryLogical(lfn, &targets).ok()) {
-          for (std::string& target : targets) {
-            result.mappings.push_back(Mapping{lfn, std::move(target)});
-          }
-        }
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcWildcardQueryLfn: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      MappingListResponse result;
-      s = store.WildcardQuery(req.name, req.limit, &result.mappings, req.offset);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcExists: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.LogicalExists(req.name)
-                 ? Status::Ok()
-                 : Status::NotFound("not registered: " + req.name);
-    }
-    case kLrcAttrDefine: {
-      AttrDefineRequest req;
-      s = AttrDefineRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.DefineAttribute(req.name, req.object, req.type);
-    }
-    case kLrcAttrUndefine: {
-      AttrDefineRequest req;
-      s = AttrDefineRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.UndefineAttribute(req.name, req.object);
-    }
-    case kLrcAttrAdd:
-    case kLrcAttrModify: {
-      AttrValueRequest req;
-      s = AttrValueRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return opcode == kLrcAttrAdd ? store.AddAttribute(req)
-                                   : store.ModifyAttribute(req);
-    }
-    case kLrcAttrDelete: {
-      AttrValueRequest req;
-      s = AttrValueRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      return store.DeleteAttribute(req.object_name, req.attr_name, req.object);
-    }
-    case kLrcBulkAttrAdd:
-    case kLrcBulkAttrDelete: {
-      BulkAttrRequest req;
-      s = BulkAttrRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      BulkStatusResponse result;
-      for (uint32_t i = 0; i < req.items.size(); ++i) {
-        const AttrValueRequest& item = req.items[i];
-        Status st = opcode == kLrcBulkAttrAdd
-                        ? store.AddAttribute(item)
-                        : store.DeleteAttribute(item.object_name, item.attr_name,
-                                                item.object);
-        if (st.ok()) {
-          ++result.succeeded;
-        } else {
-          result.failures.push_back({i, st.code()});
-        }
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcAttrQueryObj: {
-      AttrValueRequest req;  // value ignored
-      s = AttrValueRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      AttrListResponse result;
-      s = store.QueryObjectAttributes(req.object_name, req.object, &result.attributes);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcAttrSearch: {
-      AttrSearchRequest req;
-      s = AttrSearchRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      std::vector<std::pair<std::string, AttrValue>> found;
-      s = store.SearchAttribute(req, &found);
-      if (!s.ok()) return s;
-      AttrListResponse result;
-      for (auto& [object_name, value] : found) {
-        Attribute a;
-        a.name = object_name;  // object names keyed by attribute value
-        a.object = req.object;
-        a.value = value;
-        result.attributes.push_back(std::move(a));
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcRliList: {
-      StringListResponse result;
-      s = store.ListRlis(&result.values);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kLrcRliAdd:
-    case kLrcRliRemove: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (opcode == kLrcRliAdd) {
-        s = store.AddRli(req.name);
-        if (s.ok() && update_manager_) {
-          update_manager_->AddTarget(UpdateTarget{req.name, net::LinkModel::Loopback(), {}});
-        }
-        return s;
-      }
-      s = store.RemoveRli(req.name);
-      if (s.ok() && update_manager_) update_manager_->RemoveTarget(req.name);
-      return s;
-    }
-    case kLrcForceUpdate: {
-      if (!update_manager_) return Status::Unsupported("no update manager");
-      s = update_manager_->FlushImmediate();
-      if (!s.ok()) return s;
-      return update_manager_->ForceFullUpdate();
-    }
-    default:
-      return Status::Protocol("unhandled LRC opcode " + std::to_string(opcode));
+    resp.spans.push_back(std::move(out));
   }
+  resp.Encode(response);
+  return Status::Ok();
 }
 
-Status RlsServer::HandleRli(const gsi::AuthContext& auth, uint16_t opcode,
-                            const std::string& request, std::string* response) {
-  Status s = config_.auth.Authorize(auth, gsi::Privilege::kRliRead);
-  rlscommon::StampHop("auth");
-  if (!s.ok()) return s;
+// --- LRC mapping management ---
 
-  switch (opcode) {
-    case kRliQueryLfn: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      StringListResponse result;
-      bool found = false;
-      if (rli_relational_ &&
-          rli_relational_->Query(req.name, &result.values).ok()) {
-        found = true;
-      }
-      if (rli_bloom_) {
-        std::vector<std::string> from_bloom;
-        if (rli_bloom_->Query(req.name, &from_bloom).ok()) {
-          MergeUnique(&result.values, from_bloom);
-          found = true;
-        }
-      }
-      if (!found) return Status::NotFound("no LRC holds mappings for: " + req.name);
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kRliBulkQuery: {
-      BulkQueryRequest req;
-      s = BulkQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      MappingListResponse result;
-      std::vector<std::string> lrcs;
-      for (const std::string& lfn : req.names) {
-        lrcs.clear();
-        if (rli_relational_) {
-          std::vector<std::string> found;
-          if (rli_relational_->Query(lfn, &found).ok()) MergeUnique(&lrcs, found);
-        }
-        if (rli_bloom_) {
-          std::vector<std::string> found;
-          if (rli_bloom_->Query(lfn, &found).ok()) MergeUnique(&lrcs, found);
-        }
-        for (std::string& lrc : lrcs) {
-          result.mappings.push_back(Mapping{lfn, std::move(lrc)});
-        }
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kRliWildcardQuery: {
-      NameQueryRequest req;
-      s = NameQueryRequest::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        // Paper §5.4: wildcard searches on RLI contents "are not possible
-        // when using Bloom filter compression".
-        return Status::Unsupported("wildcard queries unsupported on a Bloom-filter RLI");
-      }
-      MappingListResponse result;
-      s = rli_relational_->WildcardQuery(req.name, req.limit, &result.mappings);
-      if (!s.ok()) return s;
-      result.Encode(response);
-      return Status::Ok();
-    }
-    case kRliLrcList: {
-      StringListResponse result;
-      if (rli_relational_) {
-        s = rli_relational_->ListLrcs(&result.values);
-        if (!s.ok()) return s;
-      }
-      if (rli_bloom_) {
-        std::vector<std::string> from_bloom;
-        s = rli_bloom_->ListLrcs(&from_bloom);
-        if (!s.ok()) return s;
-        MergeUnique(&result.values, from_bloom);
-      }
-      result.Encode(response);
-      return Status::Ok();
-    }
-    default:
-      return Status::Protocol("unhandled RLI opcode " + std::to_string(opcode));
-  }
+Status RlsServer::LrcCreate(const std::string& request, std::string*) {
+  return MutateOne(*lrc_store_, &LrcStore::CreateMapping, request);
 }
 
-Status RlsServer::HandleSoftState(const gsi::AuthContext& auth, uint16_t opcode,
-                                  const std::string& request, std::string* response) {
-  (void)response;
-  Status s = config_.auth.Authorize(auth, gsi::Privilege::kRliWrite);
-  rlscommon::StampHop("auth");
+Status RlsServer::LrcAdd(const std::string& request, std::string*) {
+  return MutateOne(*lrc_store_, &LrcStore::AddMapping, request);
+}
+
+Status RlsServer::LrcDelete(const std::string& request, std::string*) {
+  return MutateOne(*lrc_store_, &LrcStore::DeleteMapping, request);
+}
+
+Status RlsServer::LrcBulkCreate(const std::string& request, std::string* response) {
+  return BulkMutate(*lrc_store_, &LrcStore::CreateMappings, request, response);
+}
+
+Status RlsServer::LrcBulkAdd(const std::string& request, std::string* response) {
+  return BulkMutate(*lrc_store_, &LrcStore::AddMappings, request, response);
+}
+
+Status RlsServer::LrcBulkDelete(const std::string& request, std::string* response) {
+  return BulkMutate(*lrc_store_, &LrcStore::DeleteMappings, request, response);
+}
+
+// --- LRC queries ---
+
+Status RlsServer::LrcQueryLfn(const std::string& request, std::string* response) {
+  return NameQuery(*lrc_store_, &LrcStore::QueryLogical, request, response);
+}
+
+Status RlsServer::LrcQueryPfn(const std::string& request, std::string* response) {
+  return NameQuery(*lrc_store_, &LrcStore::QueryTarget, request, response);
+}
+
+Status RlsServer::LrcBulkQueryLfn(const std::string& request, std::string* response) {
+  BulkQueryRequest req;
+  Status s = BulkQueryRequest::Decode(request, &req);
   if (!s.ok()) return s;
+  MappingListResponse result;
+  std::vector<std::string> targets;
+  for (const std::string& lfn : req.names) {
+    if (lrc_store_->QueryLogical(lfn, &targets).ok()) {
+      for (std::string& target : targets) {
+        result.mappings.push_back(Mapping{lfn, std::move(target)});
+      }
+    }
+  }
+  result.Encode(response);
+  return Status::Ok();
+}
 
-  const int64_t now_micros = std::chrono::duration_cast<std::chrono::microseconds>(
-                                 clock_->Now().time_since_epoch())
-                                 .count();
+Status RlsServer::LrcWildcardQuery(const std::string& request, std::string* response) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  MappingListResponse result;
+  s = lrc_store_->WildcardQuery(req.name, req.limit, &result.mappings, req.offset);
+  if (!s.ok()) return s;
+  result.Encode(response);
+  return Status::Ok();
+}
 
+Status RlsServer::LrcExists(const std::string& request, std::string*) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  return lrc_store_->LogicalExists(req.name)
+             ? Status::Ok()
+             : Status::NotFound("not registered: " + req.name);
+}
+
+// --- LRC attribute management ---
+
+Status RlsServer::LrcAttrDefine(const std::string& request, std::string*) {
+  AttrDefineRequest req;
+  Status s = AttrDefineRequest::Decode(request, &req);
+  return s.ok() ? lrc_store_->DefineAttribute(req.name, req.object, req.type) : s;
+}
+
+Status RlsServer::LrcAttrUndefine(const std::string& request, std::string*) {
+  AttrDefineRequest req;
+  Status s = AttrDefineRequest::Decode(request, &req);
+  return s.ok() ? lrc_store_->UndefineAttribute(req.name, req.object) : s;
+}
+
+Status RlsServer::LrcAttrAdd(const std::string& request, std::string*) {
+  AttrValueRequest req;
+  Status s = AttrValueRequest::Decode(request, &req);
+  return s.ok() ? lrc_store_->AddAttribute(req) : s;
+}
+
+Status RlsServer::LrcAttrModify(const std::string& request, std::string*) {
+  AttrValueRequest req;
+  Status s = AttrValueRequest::Decode(request, &req);
+  return s.ok() ? lrc_store_->ModifyAttribute(req) : s;
+}
+
+Status RlsServer::LrcAttrDelete(const std::string& request, std::string*) {
+  AttrValueRequest req;
+  Status s = AttrValueRequest::Decode(request, &req);
+  return s.ok() ? lrc_store_->DeleteAttribute(req.object_name, req.attr_name, req.object)
+                : s;
+}
+
+Status RlsServer::LrcBulkAttrAdd(const std::string& request, std::string* response) {
+  return BulkAttr(request, response, [this](const AttrValueRequest& item) {
+    return lrc_store_->AddAttribute(item);
+  });
+}
+
+Status RlsServer::LrcBulkAttrDelete(const std::string& request, std::string* response) {
+  return BulkAttr(request, response, [this](const AttrValueRequest& item) {
+    return lrc_store_->DeleteAttribute(item.object_name, item.attr_name, item.object);
+  });
+}
+
+Status RlsServer::LrcAttrQueryObj(const std::string& request, std::string* response) {
+  AttrValueRequest req;  // value ignored
+  Status s = AttrValueRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  AttrListResponse result;
+  s = lrc_store_->QueryObjectAttributes(req.object_name, req.object, &result.attributes);
+  if (!s.ok()) return s;
+  result.Encode(response);
+  return Status::Ok();
+}
+
+Status RlsServer::LrcAttrSearch(const std::string& request, std::string* response) {
+  AttrSearchRequest req;
+  Status s = AttrSearchRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  std::vector<std::pair<std::string, AttrValue>> found;
+  s = lrc_store_->SearchAttribute(req, &found);
+  if (!s.ok()) return s;
+  AttrListResponse result;
+  for (auto& [object_name, value] : found) {
+    Attribute a;
+    a.name = object_name;  // object names keyed by attribute value
+    a.object = req.object;
+    a.value = value;
+    result.attributes.push_back(std::move(a));
+  }
+  result.Encode(response);
+  return Status::Ok();
+}
+
+// --- LRC management ---
+
+Status RlsServer::LrcRliList(const std::string&, std::string* response) {
+  StringListResponse result;
+  Status s = lrc_store_->ListRlis(&result.values);
+  if (!s.ok()) return s;
+  result.Encode(response);
+  return Status::Ok();
+}
+
+Status RlsServer::LrcRliAdd(const std::string& request, std::string*) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  s = lrc_store_->AddRli(req.name);
+  if (s.ok() && update_manager_) {
+    update_manager_->AddTarget(UpdateTarget{req.name, net::LinkModel::Loopback(), {}});
+  }
+  return s;
+}
+
+Status RlsServer::LrcRliRemove(const std::string& request, std::string*) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  s = lrc_store_->RemoveRli(req.name);
+  if (s.ok() && update_manager_) update_manager_->RemoveTarget(req.name);
+  return s;
+}
+
+Status RlsServer::LrcForceUpdate(const std::string&, std::string*) {
+  if (!update_manager_) return Status::Unsupported("no update manager");
+  Status s = update_manager_->FlushImmediate();
+  if (!s.ok()) return s;
+  return update_manager_->ForceFullUpdate();
+}
+
+// --- RLI queries ---
+
+Status RlsServer::RliQueryLfn(const std::string& request, std::string* response) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  StringListResponse result;
+  bool found = false;
+  if (rli_relational_ && rli_relational_->Query(req.name, &result.values).ok()) {
+    found = true;
+  }
+  if (rli_bloom_) {
+    std::vector<std::string> from_bloom;
+    if (rli_bloom_->Query(req.name, &from_bloom).ok()) {
+      MergeUnique(&result.values, from_bloom);
+      found = true;
+    }
+  }
+  if (!found) return Status::NotFound("no LRC holds mappings for: " + req.name);
+  result.Encode(response);
+  return Status::Ok();
+}
+
+Status RlsServer::RliBulkQuery(const std::string& request, std::string* response) {
+  BulkQueryRequest req;
+  Status s = BulkQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  MappingListResponse result;
+  std::vector<std::string> lrcs;
+  for (const std::string& lfn : req.names) {
+    lrcs.clear();
+    if (rli_relational_) {
+      std::vector<std::string> found;
+      if (rli_relational_->Query(lfn, &found).ok()) MergeUnique(&lrcs, found);
+    }
+    if (rli_bloom_) {
+      std::vector<std::string> found;
+      if (rli_bloom_->Query(lfn, &found).ok()) MergeUnique(&lrcs, found);
+    }
+    for (std::string& lrc : lrcs) {
+      result.mappings.push_back(Mapping{lfn, std::move(lrc)});
+    }
+  }
+  result.Encode(response);
+  return Status::Ok();
+}
+
+Status RlsServer::RliWildcardQuery(const std::string& request, std::string* response) {
+  NameQueryRequest req;
+  Status s = NameQueryRequest::Decode(request, &req);
+  if (!s.ok()) return s;
+  if (!rli_relational_) {
+    // Paper §5.4: wildcard searches on RLI contents "are not possible
+    // when using Bloom filter compression".
+    return Status::Unsupported("wildcard queries unsupported on a Bloom-filter RLI");
+  }
+  MappingListResponse result;
+  s = rli_relational_->WildcardQuery(req.name, req.limit, &result.mappings);
+  if (!s.ok()) return s;
+  result.Encode(response);
+  return Status::Ok();
+}
+
+Status RlsServer::RliLrcList(const std::string&, std::string* response) {
+  StringListResponse result;
+  if (rli_relational_) {
+    Status s = rli_relational_->ListLrcs(&result.values);
+    if (!s.ok()) return s;
+  }
+  if (rli_bloom_) {
+    std::vector<std::string> from_bloom;
+    Status s = rli_bloom_->ListLrcs(&from_bloom);
+    if (!s.ok()) return s;
+    MergeUnique(&result.values, from_bloom);
+  }
+  result.Encode(response);
+  return Status::Ok();
+}
+
+// --- soft-state updates ---
+
+int64_t RlsServer::NowMicros() const {
+  return std::chrono::duration_cast<std::chrono::microseconds>(
+             clock_->Now().time_since_epoch())
+      .count();
+}
+
+void RlsServer::NoteUpdate(int64_t sent_micros, int64_t now_micros, bool count) {
+  if (count) rli_updates_received_->Increment();
   // Summarize->receive lag of this hop, and the trace that produced it
   // (the sender re-stamps the originating client's trace id).
-  auto note_update = [&](int64_t sent_micros, bool count) {
-    if (count) rli_updates_received_->Increment();
-    if (sent_micros > 0 && now_micros >= sent_micros) {
-      ss_receive_lag_->RecordMicros(static_cast<uint64_t>(now_micros - sent_micros));
-    }
-    const rlscommon::TraceContext trace = rlscommon::CurrentTrace();
-    if (trace.valid()) {
-      last_update_trace_id_.store(trace.trace_id, std::memory_order_relaxed);
-    }
-    // Stage stamp: everything since the last hop was soft-state ingest.
-    rlscommon::StampHop("rli_ingest");
-  };
-
-  switch (opcode) {
-    case kSsFullBegin: {
-      FullUpdateBegin req;
-      s = FullUpdateBegin::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        return Status::Unsupported("RLI accepts only Bloom updates (no database)");
-      }
-      note_update(req.sent_micros, /*count=*/false);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsFullChunk: {
-      FullUpdateChunk req;
-      s = FullUpdateChunk::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        return Status::Unsupported("RLI accepts only Bloom updates (no database)");
-      }
-      s = rli_relational_->UpsertBatch(req.names, req.lrc_url, now_micros);
-      if (!s.ok()) return s;
-      rlscommon::StampHop("rli_ingest");
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsFullEnd: {
-      FullUpdateEnd req;
-      s = FullUpdateEnd::Decode(request, &req);
-      if (!s.ok()) return s;
-      note_update(0, /*count=*/true);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsIncremental: {
-      IncrementalUpdate req;
-      s = IncrementalUpdate::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_relational_) {
-        return Status::Unsupported("RLI accepts only Bloom updates (no database)");
-      }
-      s = rli_relational_->UpsertBatch(req.added, req.lrc_url, now_micros);
-      if (!s.ok()) return s;
-      for (const std::string& lfn : req.removed) {
-        s = rli_relational_->Remove(lfn, req.lrc_url);
-        if (!s.ok()) return s;
-      }
-      note_update(req.sent_micros, /*count=*/true);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    case kSsBloom: {
-      BloomUpdate req;
-      s = BloomUpdate::Decode(request, &req);
-      if (!s.ok()) return s;
-      if (!rli_bloom_) {
-        return Status::Unsupported("RLI does not accept Bloom updates");
-      }
-      bloom::BloomFilter filter;
-      s = bloom::BloomFilter::Deserialize(req.filter_bytes, &filter);
-      if (!s.ok()) return s;
-      rli_bloom_->StoreFilter(req.lrc_url, std::move(filter));
-      note_update(req.sent_micros, /*count=*/true);
-      ForwardToParents(opcode, request);
-      return Status::Ok();
-    }
-    default:
-      return Status::Protocol("unhandled soft-state opcode " + std::to_string(opcode));
+  if (sent_micros > 0 && now_micros >= sent_micros) {
+    ss_receive_lag_->RecordMicros(static_cast<uint64_t>(now_micros - sent_micros));
   }
+  const rlscommon::TraceContext trace = rlscommon::CurrentTrace();
+  if (trace.valid()) {
+    last_update_trace_id_.store(trace.trace_id, std::memory_order_relaxed);
+  }
+  // Stage stamp: everything since the last hop was soft-state ingest.
+  rlscommon::StampHop("rli_ingest");
+}
+
+Status RlsServer::SsFullBegin(const std::string& request, std::string*) {
+  const int64_t now_micros = NowMicros();
+  FullUpdateBegin req;
+  Status s = FullUpdateBegin::Decode(request, &req);
+  if (!s.ok()) return s;
+  if (!rli_relational_) return BloomOnlyRli();
+  NoteUpdate(req.sent_micros, now_micros, /*count=*/false);
+  ForwardToParents(kSsFullBegin, request);
+  return Status::Ok();
+}
+
+Status RlsServer::SsFullChunk(const std::string& request, std::string*) {
+  const int64_t now_micros = NowMicros();
+  FullUpdateChunk req;
+  Status s = FullUpdateChunk::Decode(request, &req);
+  if (!s.ok()) return s;
+  if (!rli_relational_) return BloomOnlyRli();
+  s = rli_relational_->UpsertBatch(req.names, req.lrc_url, now_micros);
+  if (!s.ok()) return s;
+  rlscommon::StampHop("rli_ingest");
+  ForwardToParents(kSsFullChunk, request);
+  return Status::Ok();
+}
+
+Status RlsServer::SsFullEnd(const std::string& request, std::string*) {
+  FullUpdateEnd req;
+  Status s = FullUpdateEnd::Decode(request, &req);
+  if (!s.ok()) return s;
+  NoteUpdate(0, NowMicros(), /*count=*/true);
+  ForwardToParents(kSsFullEnd, request);
+  return Status::Ok();
+}
+
+Status RlsServer::SsIncremental(const std::string& request, std::string*) {
+  const int64_t now_micros = NowMicros();
+  IncrementalUpdate req;
+  Status s = IncrementalUpdate::Decode(request, &req);
+  if (!s.ok()) return s;
+  if (!rli_relational_) return BloomOnlyRli();
+  s = rli_relational_->UpsertBatch(req.added, req.lrc_url, now_micros);
+  if (!s.ok()) return s;
+  for (const std::string& lfn : req.removed) {
+    s = rli_relational_->Remove(lfn, req.lrc_url);
+    if (!s.ok()) return s;
+  }
+  NoteUpdate(req.sent_micros, now_micros, /*count=*/true);
+  ForwardToParents(kSsIncremental, request);
+  return Status::Ok();
+}
+
+Status RlsServer::SsBloom(const std::string& request, std::string*) {
+  const int64_t now_micros = NowMicros();
+  BloomUpdate req;
+  Status s = BloomUpdate::Decode(request, &req);
+  if (!s.ok()) return s;
+  if (!rli_bloom_) return Status::Unsupported("RLI does not accept Bloom updates");
+  bloom::BloomFilter filter;
+  s = bloom::BloomFilter::Deserialize(req.filter_bytes, &filter);
+  if (!s.ok()) return s;
+  rli_bloom_->StoreFilter(req.lrc_url, std::move(filter));
+  NoteUpdate(req.sent_micros, now_micros, /*count=*/true);
+  ForwardToParents(kSsBloom, request);
+  return Status::Ok();
 }
 
 void RlsServer::ForwardToParents(uint16_t opcode, const std::string& request) {

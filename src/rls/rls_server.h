@@ -30,6 +30,7 @@
 #include "obs/metrics.h"
 #include "rls/admission.h"
 #include "rls/lrc_store.h"
+#include "rls/methods.h"
 #include "rls/protocol.h"
 #include "rls/rli_store.h"
 #include "rls/update_manager.h"
@@ -120,10 +121,8 @@ class RlsServer {
   RliBloomStore* rli_bloom() { return rli_bloom_.get(); }
   UpdateManager* update_manager() { return update_manager_.get(); }
 
+  /// Server vitals (GetStatsResponse::vitals).
   ServerStats Stats() const;
-
-  /// Per-operation-family latency histograms (monitoring).
-  MetricsResponse Metrics() const;
 
   /// Full introspection snapshot (what kServerGetStats serves).
   GetStatsResponse GetStatsSnapshot() const;
@@ -139,18 +138,55 @@ class RlsServer {
   void ExpireNow();
 
  private:
+  friend std::span<const Method> Methods();
+
+  /// Looks the opcode up in the method table, checks the role and the
+  /// row's privilege, then runs the row's handler.
   rlscommon::Status Handle(const gsi::AuthContext& auth, uint16_t opcode,
                            const std::string& request, std::string* response);
-  rlscommon::Status Dispatch(const gsi::AuthContext& auth, uint16_t opcode,
-                             const std::string& request, std::string* response);
 
-  rlscommon::Status HandleLrc(const gsi::AuthContext& auth, uint16_t opcode,
-                              const std::string& request, std::string* response);
-  rlscommon::Status HandleRli(const gsi::AuthContext& auth, uint16_t opcode,
-                              const std::string& request, std::string* response);
-  rlscommon::Status HandleSoftState(const gsi::AuthContext& auth, uint16_t opcode,
-                                    const std::string& request, std::string* response);
+  // Handlers, one per method-table row (Methods() in rls_server.cpp).
+  using Status = rlscommon::Status;
+  Status Ping(const std::string& request, std::string* response);
+  Status GetStats(const std::string& request, std::string* response);
+  Status GetTraces(const std::string& request, std::string* response);
+  Status LrcCreate(const std::string& request, std::string* response);
+  Status LrcAdd(const std::string& request, std::string* response);
+  Status LrcDelete(const std::string& request, std::string* response);
+  Status LrcBulkCreate(const std::string& request, std::string* response);
+  Status LrcBulkAdd(const std::string& request, std::string* response);
+  Status LrcBulkDelete(const std::string& request, std::string* response);
+  Status LrcQueryLfn(const std::string& request, std::string* response);
+  Status LrcQueryPfn(const std::string& request, std::string* response);
+  Status LrcBulkQueryLfn(const std::string& request, std::string* response);
+  Status LrcWildcardQuery(const std::string& request, std::string* response);
+  Status LrcExists(const std::string& request, std::string* response);
+  Status LrcAttrDefine(const std::string& request, std::string* response);
+  Status LrcAttrUndefine(const std::string& request, std::string* response);
+  Status LrcAttrAdd(const std::string& request, std::string* response);
+  Status LrcAttrModify(const std::string& request, std::string* response);
+  Status LrcAttrDelete(const std::string& request, std::string* response);
+  Status LrcBulkAttrAdd(const std::string& request, std::string* response);
+  Status LrcBulkAttrDelete(const std::string& request, std::string* response);
+  Status LrcAttrQueryObj(const std::string& request, std::string* response);
+  Status LrcAttrSearch(const std::string& request, std::string* response);
+  Status LrcRliList(const std::string& request, std::string* response);
+  Status LrcRliAdd(const std::string& request, std::string* response);
+  Status LrcRliRemove(const std::string& request, std::string* response);
+  Status LrcForceUpdate(const std::string& request, std::string* response);
+  Status RliQueryLfn(const std::string& request, std::string* response);
+  Status RliBulkQuery(const std::string& request, std::string* response);
+  Status RliWildcardQuery(const std::string& request, std::string* response);
+  Status RliLrcList(const std::string& request, std::string* response);
+  Status SsFullBegin(const std::string& request, std::string* response);
+  Status SsFullChunk(const std::string& request, std::string* response);
+  Status SsFullEnd(const std::string& request, std::string* response);
+  Status SsIncremental(const std::string& request, std::string* response);
+  Status SsBloom(const std::string& request, std::string* response);
 
+  int64_t NowMicros() const;
+  /// Books one received soft-state update: counter, receive lag, trace.
+  void NoteUpdate(int64_t sent_micros, int64_t now_micros, bool count);
   void ForwardToParents(uint16_t opcode, const std::string& request);
   void ExpireLoop();
   std::string RenderStatsJson() const;
@@ -190,12 +226,6 @@ class RlsServer {
   // Trace id of the last soft-state update this server received.
   std::atomic<uint64_t> last_update_trace_id_{0};
   rlscommon::TimePoint start_time_{};
-
-  // Service-time histograms per operation family (registry-owned).
-  obs::Histogram* lrc_read_latency_ = nullptr;
-  obs::Histogram* lrc_write_latency_ = nullptr;
-  obs::Histogram* rli_query_latency_ = nullptr;
-  obs::Histogram* soft_state_latency_ = nullptr;
 
   std::mutex expire_mu_;
   std::condition_variable expire_cv_;

@@ -121,6 +121,37 @@ TEST_F(RobustnessTest, UnknownOpcodeRejected) {
   EXPECT_EQ(s.code(), ErrorCode::kProtocol);
 }
 
+TEST_F(RobustnessTest, UnknownOpcodesBillToOneSeries) {
+  // Every opcode a client invents bills to the one method="unknown"
+  // entry, so the registry stays bounded however many distinct opcodes
+  // arrive (the server keeps no per-opcode state outside its methods).
+  auto series = [this](const std::string& name) {
+    std::size_t n = 0;
+    for (const obs::Sample& s : server_->metrics_registry()->TakeSnapshot().samples) {
+      if (s.name == name) ++n;
+    }
+    return n;
+  };
+  const std::size_t requests_before = series("rpc_requests_total");
+  const std::size_t all_before =
+      server_->metrics_registry()->TakeSnapshot().samples.size();
+  std::vector<uint16_t> opcodes;
+  for (uint32_t op = 256; op <= 1255; ++op) opcodes.push_back(static_cast<uint16_t>(op));
+  opcodes.push_back(65535);
+  for (uint16_t opcode : opcodes) {
+    std::string response;
+    EXPECT_EQ(rpc_->Call(opcode, "", &response).code(), ErrorCode::kProtocol)
+        << "opcode " << opcode;
+  }
+  EXPECT_TRUE(rpc_->Call(kPing, "", nullptr).ok());
+  EXPECT_LE(series("rpc_requests_total"), requests_before + 1);
+  EXPECT_LE(server_->metrics_registry()->TakeSnapshot().samples.size(), all_before + 3);
+  EXPECT_EQ(server_->metrics_registry()
+                ->GetCounter("rpc_requests_total", obs::Label("method", "unknown"))
+                ->Value(),
+            opcodes.size());
+}
+
 TEST_F(RobustnessTest, OversizedNameRejectedCleanly) {
   // The Fig. 3 schema caps names at VARCHAR(250); a 10 KB name must fail
   // with a clean error, not corrupt anything.
@@ -168,8 +199,8 @@ TEST_F(RobustnessTest, ProtocolDecodersRejectGarbageDirectly) {
     (void)IncrementalUpdate::Decode(junk, &iu);
     BloomUpdate bu;
     (void)BloomUpdate::Decode(junk, &bu);
-    ServerStats stats;
-    (void)DecodeStats(junk, &stats);
+    GetStatsResponse stats;
+    (void)GetStatsResponse::Decode(junk, &stats);
   }
   SUCCEED();  // no crash, no UB (run under sanitizers in CI)
 }

@@ -1,9 +1,16 @@
 // Client-API tests against the common server: every operation family of
-// Table 1, plus ACL enforcement and the common-server role configuration.
+// Table 1, plus ACL enforcement, the common-server role configuration and
+// the per-opcode contract (privilege, role, admission lane and cost).
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <optional>
+#include <set>
+#include <string_view>
+#include <utility>
 
+#include "common/clock.h"
 #include "obs/trace.h"
 #include "rls/client.h"
 #include "rls/rls_server.h"
@@ -39,9 +46,9 @@ class ServerTest : public ::testing::Test {
 
 TEST_F(ServerTest, PingAndStats) {
   ASSERT_TRUE(client_->Ping().ok());
-  ServerStats stats;
-  ASSERT_TRUE(client_->Stats(&stats).ok());
-  EXPECT_EQ(stats.lfn_count, 0u);
+  GetStatsResponse stats;
+  ASSERT_TRUE(client_->GetStats(&stats).ok());
+  EXPECT_EQ(stats.vitals.lfn_count, 0u);
 }
 
 TEST_F(ServerTest, MappingLifecycleOverRpc) {
@@ -92,9 +99,9 @@ TEST_F(ServerTest, BulkOperations) {
 
   ASSERT_TRUE(client_->BulkDelete(mappings, &result).ok());
   EXPECT_EQ(result.succeeded, 100u);
-  ServerStats stats;
-  ASSERT_TRUE(client_->Stats(&stats).ok());
-  EXPECT_EQ(stats.lfn_count, 0u);
+  GetStatsResponse stats;
+  ASSERT_TRUE(client_->GetStats(&stats).ok());
+  EXPECT_EQ(stats.vitals.lfn_count, 0u);
 }
 
 TEST_F(ServerTest, BulkQuerySkipsMissingNames) {
@@ -292,6 +299,240 @@ TEST(ServerConfigTest, ServerWithNoRolesRejected) {
   config.address = "none:1";
   RlsServer server(&network, config, &env);
   EXPECT_EQ(server.Start().code(), ErrorCode::kInvalidArgument);
+}
+
+// ---------------------------------------------------------------------
+// The per-opcode contract, pinned literally and checked only through
+// behaviour: the method label, the privilege the server demands (none
+// for ping), the role that serves the opcode, the admission lane and the
+// privilege class whose token cost a normal-lane request is charged.
+// ---------------------------------------------------------------------
+
+using P = gsi::Privilege;
+
+enum class Serves { kAnyRole, kLrc, kRli };
+
+struct OpContract {
+  uint16_t opcode;
+  const char* name;
+  std::optional<P> privilege;  // nullopt = open to every client
+  Serves role;
+  bool priority;     // protected admission lane
+  P cost_class;      // token-bucket charge on the normal lane
+};
+
+constexpr OpContract kContract[] = {
+    {kPing, "ping", std::nullopt, Serves::kAnyRole, true, P::kLrcRead},
+    {kServerGetStats, "server_get_stats", P::kStats, Serves::kAnyRole, true, P::kLrcRead},
+    {kServerGetTraces, "server_get_traces", P::kStats, Serves::kAnyRole, true, P::kLrcRead},
+    {kLrcCreate, "lrc_create", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcAdd, "lrc_add", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcDelete, "lrc_delete", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcBulkCreate, "lrc_bulk_create", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcBulkAdd, "lrc_bulk_add", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcBulkDelete, "lrc_bulk_delete", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcQueryLfn, "lrc_query_lfn", P::kLrcRead, Serves::kLrc, false, P::kLrcRead},
+    {kLrcQueryPfn, "lrc_query_pfn", P::kLrcRead, Serves::kLrc, false, P::kLrcRead},
+    {kLrcBulkQueryLfn, "lrc_bulk_query_lfn", P::kLrcRead, Serves::kLrc, false, P::kLrcRead},
+    {kLrcWildcardQueryLfn, "lrc_wildcard_query_lfn", P::kLrcRead, Serves::kLrc, false,
+     P::kLrcRead},
+    {kLrcExists, "lrc_exists", P::kLrcRead, Serves::kLrc, false, P::kLrcRead},
+    {kLrcAttrDefine, "lrc_attr_define", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcAttrAdd, "lrc_attr_add", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcAttrModify, "lrc_attr_modify", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcAttrDelete, "lrc_attr_delete", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcAttrQueryObj, "lrc_attr_query_obj", P::kLrcRead, Serves::kLrc, false, P::kLrcRead},
+    {kLrcAttrSearch, "lrc_attr_search", P::kLrcRead, Serves::kLrc, false, P::kLrcRead},
+    {kLrcBulkAttrAdd, "lrc_bulk_attr_add", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcBulkAttrDelete, "lrc_bulk_attr_delete", P::kLrcWrite, Serves::kLrc, false,
+     P::kLrcWrite},
+    {kLrcAttrUndefine, "lrc_attr_undefine", P::kLrcWrite, Serves::kLrc, false, P::kLrcWrite},
+    {kLrcRliList, "lrc_rli_list", P::kAdmin, Serves::kLrc, true, P::kLrcRead},
+    {kLrcRliAdd, "lrc_rli_add", P::kAdmin, Serves::kLrc, true, P::kLrcRead},
+    {kLrcRliRemove, "lrc_rli_remove", P::kAdmin, Serves::kLrc, true, P::kLrcRead},
+    {kLrcForceUpdate, "lrc_force_update", P::kAdmin, Serves::kLrc, true, P::kLrcRead},
+    {kRliQueryLfn, "rli_query_lfn", P::kRliRead, Serves::kRli, false, P::kRliRead},
+    {kRliBulkQuery, "rli_bulk_query", P::kRliRead, Serves::kRli, false, P::kRliRead},
+    {kRliWildcardQuery, "rli_wildcard_query", P::kRliRead, Serves::kRli, false, P::kRliRead},
+    {kRliLrcList, "rli_lrc_list", P::kRliRead, Serves::kRli, false, P::kRliRead},
+    {kSsFullBegin, "ss_full_begin", P::kRliWrite, Serves::kRli, true, P::kLrcRead},
+    {kSsFullChunk, "ss_full_chunk", P::kRliWrite, Serves::kRli, true, P::kLrcRead},
+    {kSsFullEnd, "ss_full_end", P::kRliWrite, Serves::kRli, true, P::kLrcRead},
+    {kSsIncremental, "ss_incremental", P::kRliWrite, Serves::kRli, true, P::kLrcRead},
+    {kSsBloom, "ss_bloom", P::kRliWrite, Serves::kRli, true, P::kLrcRead},
+};
+
+constexpr P kAllPrivileges[] = {P::kLrcRead, P::kRliRead,  P::kLrcWrite,
+                                P::kRliWrite, P::kAdmin, P::kStats};
+
+/// The DN that holds every privilege except `missing`.
+std::string LacksDn(P missing) {
+  return "/CN=lacks-" + std::string(gsi::PrivilegeName(missing));
+}
+
+/// A secured LRC and/or RLI server whose ACL grants each LacksDn() its
+/// five privileges; any other DN authenticates but holds nothing.
+class ContractServer {
+ public:
+  ContractServer(bool lrc, bool rli) {
+    static std::atomic<int> counter{0};
+    const std::string id = std::to_string(counter.fetch_add(1));
+    gsi::Acl acl;
+    for (P missing : kAllPrivileges) {
+      std::vector<P> held;
+      for (P p : kAllPrivileges) {
+        if (p != missing) held.push_back(p);
+      }
+      EXPECT_TRUE(acl.AddEntry(LacksDn(missing), held).ok());
+    }
+    RlsServerConfig config;
+    config.address = "contract:" + id;
+    config.auth = gsi::AuthManager::Secured(gsi::Gridmap{}, std::move(acl),
+                                            std::chrono::microseconds(0));
+    config.lrc.enabled = lrc;
+    config.lrc.dsn = "mysql://contract_lrc" + id;
+    config.rli.enabled = rli;
+    config.rli.dsn = "mysql://contract_rli" + id;
+    EXPECT_TRUE(env_.CreateDatabase(config.lrc.dsn).ok());
+    EXPECT_TRUE(env_.CreateDatabase(config.rli.dsn).ok());
+    server_ = std::make_unique<RlsServer>(&network_, config, &env_);
+    EXPECT_TRUE(server_->Start().ok());
+  }
+
+  /// The status `dn` gets for `opcode` with an empty request body.
+  ErrorCode CallAs(const std::string& dn, uint16_t opcode) {
+    std::unique_ptr<net::RpcClient>& client = clients_[dn];
+    if (!client) {
+      net::ClientOptions options;
+      options.credential.dn = dn;
+      EXPECT_TRUE(
+          net::RpcClient::Connect(&network_, server_->address(), options, &client).ok());
+    }
+    std::string response;
+    return client->Call(opcode, "", &response).code();
+  }
+
+  RlsServer& server() { return *server_; }
+
+ private:
+  net::Network network_;
+  dbapi::Environment env_;
+  std::unique_ptr<RlsServer> server_;
+  std::map<std::string, std::unique_ptr<net::RpcClient>> clients_;
+};
+
+TEST(OpcodeContractTest, PermissionDeniedExactlyWhenPrivilegeMissing) {
+  ContractServer combined(/*lrc=*/true, /*rli=*/true);
+  for (const OpContract& op : kContract) {
+    for (P missing : kAllPrivileges) {
+      const ErrorCode code = combined.CallAs(LacksDn(missing), op.opcode);
+      if (op.privilege == missing) {
+        EXPECT_EQ(code, ErrorCode::kPermissionDenied)
+            << op.name << " served a DN without " << gsi::PrivilegeName(missing);
+      } else {
+        EXPECT_NE(code, ErrorCode::kPermissionDenied)
+            << op.name << " demanded " << gsi::PrivilegeName(missing);
+        EXPECT_NE(code, ErrorCode::kUnsupported) << op.name;
+      }
+    }
+    // Every call is billed to the opcode's method label.
+    EXPECT_EQ(combined.server()
+                  .metrics_registry()
+                  ->GetCounter("rpc_requests_total", obs::Label("method", op.name))
+                  ->Value(),
+              std::size(kAllPrivileges))
+        << op.name;
+  }
+}
+
+TEST(OpcodeContractTest, MissingRoleRejectedBeforeAuthorization) {
+  ContractServer lrc_only(/*lrc=*/true, /*rli=*/false);
+  ContractServer rli_only(/*lrc=*/false, /*rli=*/true);
+  const std::string nobody = "/CN=holds-nothing";
+  for (const OpContract& op : kContract) {
+    for (auto [server, absent] : {std::pair{&lrc_only, Serves::kRli},
+                                  std::pair{&rli_only, Serves::kLrc}}) {
+      ErrorCode expected = ErrorCode::kOk;
+      if (op.role == absent) {
+        expected = ErrorCode::kUnsupported;
+      } else if (op.privilege) {
+        expected = ErrorCode::kPermissionDenied;
+      }
+      EXPECT_EQ(server->CallAs(nobody, op.opcode), expected)
+          << op.name << (absent == Serves::kRli ? " on an LRC" : " on an RLI");
+    }
+  }
+}
+
+TEST(OpcodeContractTest, AdmissionLaneAndCost) {
+  // Costs are distinct powers of two and the clock never moves, so the
+  // number of requests one fresh bucket admits names the cost class.
+  ServerLimits limits;
+  limits.per_dn_rate = 1;
+  limits.per_dn_burst = 63;
+  limits.privilege_cost = {1, 2, 4, 8, 16, 32};
+  rlscommon::ManualClock clock;
+  AdmissionController admission(limits, &clock, /*registry=*/nullptr);
+  for (const OpContract& op : kContract) {
+    gsi::AuthContext context;
+    context.authenticated = true;
+    context.dn = std::string("/CN=tenant-") + op.name;
+    int admitted = 0;
+    for (; admitted < 100; ++admitted) {
+      const net::AdmitDecision decision = admission.Admit(context, op.opcode, "");
+      if (admitted == 0) {
+        EXPECT_EQ(decision.priority, op.priority) << op.name;
+      }
+      if (!decision.status.ok()) break;
+    }
+    if (op.priority) {
+      EXPECT_EQ(admitted, 100) << op.name << " was charged on the priority lane";
+    } else {
+      const double cost =
+          limits.privilege_cost[static_cast<std::size_t>(op.cost_class)];
+      EXPECT_EQ(admitted, static_cast<int>(limits.per_dn_burst / cost)) << op.name;
+    }
+  }
+}
+
+/// True when `V` is a named enumerator of Op: the compiler spells any
+/// other value in __PRETTY_FUNCTION__ as a cast, "(rls::Op)7".
+template <Op V>
+constexpr bool IsOpEnumerator() {
+  return std::string_view(__PRETTY_FUNCTION__).find("(rls::Op)") == std::string_view::npos;
+}
+
+/// The Op enumerators among the opcodes I... .
+template <std::size_t... I>
+std::set<uint16_t> OpEnumerators(std::index_sequence<I...>) {
+  std::set<uint16_t> out;
+  ((IsOpEnumerator<static_cast<Op>(I)>() ? void(out.insert(I)) : void()), ...);
+  return out;
+}
+
+TEST(MethodTableTest, OneRowPerOpcodeWithContractNameAndPrivilege) {
+  std::set<uint16_t> opcodes;
+  std::set<std::string_view> names;
+  for (const Method& method : Methods()) {
+    EXPECT_TRUE(opcodes.insert(method.opcode).second) << method.opcode;
+    EXPECT_TRUE(names.insert(method.name).second) << method.name;
+    EXPECT_EQ(FindMethod(method.opcode), &method);
+  }
+  // Every Op value has exactly one row and every row an Op value, so a
+  // new opcode without its row fails here. Opcodes from 256 up are
+  // unknown (RobustnessTest.UnknownOpcodesBillToOneSeries).
+  EXPECT_EQ(opcodes, OpEnumerators(std::make_index_sequence<256>()));
+  // The contract above covers every row.
+  EXPECT_EQ(Methods().size(), std::size(kContract));
+  for (const OpContract& op : kContract) {
+    const Method* method = FindMethod(op.opcode);
+    ASSERT_NE(method, nullptr) << op.name;
+    EXPECT_EQ(method->name, op.name);
+    EXPECT_EQ(method->privilege, op.privilege) << op.name;
+  }
+  for (uint16_t unknown : {0, 2, 3, 6, 9, 16, 65, 255, 256, 65535}) {
+    EXPECT_EQ(FindMethod(unknown), nullptr) << unknown;
+  }
 }
 
 }  // namespace
