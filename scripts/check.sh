@@ -12,9 +12,9 @@
 # every commit boundary and at intra-record offsets, recovered and
 # compared against the committed prefix — plus the pinned-seed
 # storage-fault WAL tests and the recovery-idempotence property. The
-# matrix runs twice: per-txn flush and WAL group commit
-# (RLS_CRASH_GROUP=1), so grouped appends satisfy the same
-# committed-prefix contract.
+# matrix runs twice: group_max_commits=1 (per-txn flush) and WAL group
+# commit (RLS_CRASH_GROUP=1, cap 64), so both batch caps satisfy the
+# same committed-prefix contract.
 #
 # The `trace` config is the tracing smoke gate: it runs the fig06 bench
 # with the flight recorder on (RLS_TRACE_JSON), validates the exported
@@ -56,7 +56,7 @@ run_bench_gate() {  # $1 = output mode: "compare" or "rebaseline"
     echo "=== [bench] $bench"
     env "${BENCH_GATE_ENV[@]}" RLS_BENCH_JSON="$json" "$dir/bench/$bench" >/dev/null
     if [ "$bench" = bench_fig04_lrc_add_flush ]; then
-      # fig04 runs two servers: the legacy flush path (gated against the
+      # fig04 runs two servers: the per-txn flush path (gated against the
       # long-standing baseline, which must NOT move) and the group-commit
       # server (its own baseline). Split the snapshot so each series is
       # pinned separately.

@@ -28,10 +28,10 @@ for bin in "$test_bin" "$wal_bin" "$prop_bin"; do
   fi
 done
 
-echo "=== [crash] matrix: $txns txns, seed $seed, per-txn flush ($test_bin)"
+echo "=== [crash] matrix: $txns txns, seed $seed, group_max_commits=1 ($test_bin)"
 env RLS_CRASH_TXNS="$txns" RLS_CRASH_SEED="$seed" "$test_bin"
 
-echo "=== [crash] matrix: $txns txns, seed $seed, GROUP COMMIT ($test_bin)"
+echo "=== [crash] matrix: $txns txns, seed $seed, GROUP COMMIT, group_max_commits=64 ($test_bin)"
 env RLS_CRASH_TXNS="$txns" RLS_CRASH_SEED="$seed" RLS_CRASH_GROUP=1 "$test_bin"
 
 echo "=== [crash] pinned-seed storage-fault replay + group commit ($wal_bin)"

@@ -48,14 +48,6 @@ class Database {
   void SetDurableFlush(bool enabled) { profile_.durable_flush = enabled; }
   bool durable_flush() const { return profile_.durable_flush; }
 
-  /// Toggles WAL group commit at runtime (benches flip it between the
-  /// legacy flat-curve series and the scaling series). Call only while
-  /// no transactions are in flight.
-  void SetGroupCommit(bool enabled) {
-    profile_.wal_group_commit = enabled;
-    wal_.SetGroupCommit(enabled);
-  }
-
   /// Transaction gate (profile.wal_recovery): the engine holds it
   /// shared from a transaction's first logged mutation until the WAL
   /// has reserved the transaction's LSN (CommitBegin). MaybeCheckpoint
@@ -65,10 +57,10 @@ class Database {
   void LockTxnGateShared() { txn_gate_.lock_shared(); }
   void UnlockTxnGateShared() { txn_gate_.unlock_shared(); }
 
-  /// Runs a WAL checkpoint deferred by a group-commit wrap, from a
-  /// context where no transaction sits between applying its mutations
-  /// and reserving its LSN. Cheap no-op when nothing is pending; the
-  /// engine calls it after every commit.
+  /// Runs the WAL checkpoint marked pending by the batch that crossed
+  /// the recycle threshold, from a context where no transaction sits
+  /// between applying its mutations and reserving its LSN. Cheap no-op
+  /// when nothing is pending; the engine calls it after every commit.
   rlscommon::Status MaybeCheckpoint() {
     if (!wal_.checkpoint_pending()) return rlscommon::Status::Ok();
     std::unique_lock<std::shared_mutex> gate(txn_gate_);

@@ -37,23 +37,23 @@ struct BackendProfile {
   /// and hide the effect the paper measures.
   std::chrono::microseconds durable_flush_penalty{8000};
 
-  /// When true the WAL is a real recovery log: checksummed LSN-stamped
-  /// frames, a checkpoint snapshot at recycle-wrap, and Database
-  /// open-time replay via Recover(). When false (default) the WAL stays
-  /// the legacy cost-and-bytes model the paper's Fig. 4 flush curves
-  /// reproduce against.
+  /// When true the WAL is a recovery log: it persists across reopen,
+  /// checkpoints a snapshot at recycle-wrap, and Database::Recover()
+  /// replays it. When false (default) the same framed log is scratch
+  /// space for the flush cost model the paper's Fig. 4 curves reproduce
+  /// against: truncated on open, unlinked on close, never replayed.
   bool wal_recovery = false;
 
   /// Overrides the WAL recycle threshold; 0 = the Wal default (256 MB).
   /// Tests use tiny values to drive the checkpoint-wrap boundary.
   uint64_t wal_recycle_bytes = 0;
 
-  /// When true, durable commits use WAL group commit: concurrent
-  /// committers share one write + one fdatasync + ONE modeled
-  /// `durable_flush_penalty` per batch, so durable throughput scales
-  /// with client count. When false (default), every commit pays its own
-  /// serialized sync — the 2004 cost model behind the paper's flat
-  /// Fig. 4 flush-enabled curve.
+  /// Picks the WAL batch cap. When true, concurrent committers share one
+  /// write + one fdatasync + ONE modeled `durable_flush_penalty` per
+  /// batch of up to `wal_group_max_commits`, so durable throughput
+  /// scales with client count. When false (default) the cap is 1: every
+  /// commit pays its own serialized sync — the 2004 cost model behind
+  /// the paper's flat Fig. 4 flush-enabled curve.
   bool wal_group_commit = false;
 
   /// Group-commit batch caps; 0 = the Wal defaults (64 commits, 1 MB).

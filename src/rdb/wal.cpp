@@ -27,15 +27,18 @@ uint32_t GetU32(const char* p) { uint32_t v; std::memcpy(&v, p, 4); return v; }
 uint64_t GetU64(const char* p) { uint64_t v; std::memcpy(&v, p, 8); return v; }
 
 /// Builds one frame: crc | lsn | type | len | payload. The CRC covers
-/// everything after the CRC field.
-std::string BuildFrame(uint8_t type, uint64_t lsn, std::string_view payload) {
+/// everything after the CRC field; it stays 0 unless `checksum` (a log
+/// that is never replayed has no reader to check it).
+std::string BuildFrame(uint8_t type, uint64_t lsn, std::string_view payload,
+                       bool checksum) {
   std::string frame(kWalFrameHeaderBytes, '\0');
   PutU64(&frame[4], lsn);
   frame[12] = static_cast<char>(type);
   PutU32(&frame[13], static_cast<uint32_t>(payload.size()));
   frame.append(payload);
-  const uint32_t crc = rlscommon::Crc32c(frame.data() + 4, frame.size() - 4);
-  PutU32(&frame[0], crc);
+  if (checksum) {
+    PutU32(&frame[0], rlscommon::Crc32c(frame.data() + 4, frame.size() - 4));
+  }
   return frame;
 }
 
@@ -61,14 +64,14 @@ int PWriteAll(int fd, const char* p, std::size_t n, uint64_t offset,
 }  // namespace
 
 /// One parked committer. The frame is fully built at enqueue time
-/// (recovery mode: header+payload with the reserved LSN; legacy mode:
-/// the raw payload bytes) so the leader's write is a plain
-/// concatenation. `done`/`status` are guarded by the Wal's group_mu_.
+/// (header + payload with the reserved LSN) so the leader's write is a
+/// plain concatenation. `done`/`status` are guarded by the Wal's
+/// group_mu_.
 struct WalGroupWaiter {
   std::string frame;
   bool durable = false;
   std::chrono::microseconds penalty{0};
-  uint64_t lsn = 0;  // 0 = no frame (legacy mode or nothing to write)
+  uint64_t lsn = 0;  // 0 = no frame (no file, or nothing to write)
   bool done = false;
   rlscommon::Status status;
 };
@@ -87,10 +90,11 @@ Wal::Wal(std::string path, uint64_t recycle_bytes)
 
 Wal::Wal(std::string path, WalOptions options)
     : path_(std::move(path)), options_(options) {
-  group_on_.store(options_.group_commit, std::memory_order_relaxed);
+  // Per-transaction flush is a batch of one.
+  if (!options_.group_commit) options_.group_max_commits = 1;
   if (path_.empty()) return;
-  // Legacy mode truncates on open (the log is scratch space); recovery
-  // mode must preserve whatever a previous incarnation left behind.
+  // Without recovery the log is scratch space, truncated on open; with
+  // it, whatever a previous incarnation left behind must be preserved.
   const int flags =
       options_.recovery ? (O_CREAT | O_RDWR) : (O_CREAT | O_WRONLY | O_TRUNC);
   fd_ = ::open(path_.c_str(), flags, 0644);
@@ -106,8 +110,8 @@ Wal::Wal(std::string path, WalOptions options)
 Wal::~Wal() {
   if (fd_ >= 0) {
     ::close(fd_);
-    // The legacy log is a cost model, not state: remove it. A recovery
-    // log (and its checkpoint sidecar) must survive for replay.
+    // Without recovery the log is a cost model, not state: remove it. A
+    // recovery log (and its checkpoint sidecar) must survive for replay.
     if (!options_.recovery) ::unlink(path_.c_str());
   }
 }
@@ -117,25 +121,13 @@ void Wal::SetObserver(WalObserver observer) {
   observer_ = std::move(observer);
 }
 
-void Wal::SetGroupCommit(bool enabled) {
-  // Taking both locks flushes out any in-flight commit on either path;
-  // the queue must already be empty (callers toggle between phases).
-  std::lock_guard<std::mutex> group_lock(group_mu_);
-  std::lock_guard<std::mutex> commit_lock(commit_mu_);
-  group_on_.store(enabled, std::memory_order_relaxed);
-  // Reserved-but-unwritten LSNs from failed batches may be reused by
-  // the synchronous path; frames carrying them never reached the disk.
-  uint64_t reserve = lsn_reserve_.load(std::memory_order_relaxed);
-  if (reserve < last_lsn_) lsn_reserve_.store(last_lsn_, std::memory_order_relaxed);
-}
-
-Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
-                             std::string_view payload) {
-  const std::string frame = BuildFrame(type, lsn, payload);
+Status Wal::AppendLocked(std::string_view frames) {
   const uint64_t offset = file_bytes_;
-  std::size_t to_write = frame.size();
   if (options_.fault) {
-    const auto verdict = options_.fault->OnWrite(offset, frame.size());
+    // The injector sees a batch as one write, so an injected cut can
+    // land inside any member frame (recovery then replays the
+    // whole-frame prefix).
+    const auto verdict = options_.fault->OnWrite(offset, frames.size());
     using Kind = StorageFaultInjector::WriteVerdict::Kind;
     if (verdict.kind == Kind::kError) {
       // Nothing reached the disk; the log is still consistent.
@@ -144,7 +136,7 @@ Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
     }
     if (verdict.kind == Kind::kShort) {
       std::size_t written = 0;
-      (void)PWriteAll(fd_, frame.data(), verdict.allowed, offset, &written);
+      (void)PWriteAll(fd_, frames.data(), verdict.allowed, offset, &written);
       if (options_.fault->crashed()) {
         // Simulated power cut: the torn frame stays on disk for recovery
         // to find, and this Wal is dead.
@@ -153,8 +145,10 @@ Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
         return Status::DataLoss("WAL write: simulated crash after " +
                                 std::to_string(written) + " bytes");
       }
-      // Disk error mid-frame with the process alive: truncate the torn
-      // frame away so the log stays a clean prefix of committed frames.
+      // Disk error mid-batch with the process alive: truncate the torn
+      // bytes away so the log stays a clean prefix of committed frames.
+      // The batch's reserved LSNs become a gap, which replay tolerates
+      // (it only requires ascending LSNs, not dense ones).
       if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
         poisoned_.store(true, std::memory_order_release);
         return Status::DataLoss(std::string("WAL short write; repair failed: ") +
@@ -163,10 +157,9 @@ Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
       return Status::DataLoss(std::string("WAL short write: ") +
                               std::strerror(verdict.error));
     }
-    to_write = frame.size();
   }
   std::size_t written = 0;
-  const int err = PWriteAll(fd_, frame.data(), to_write, offset, &written);
+  const int err = PWriteAll(fd_, frames.data(), frames.size(), offset, &written);
   if (err != 0) {
     if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
       poisoned_.store(true, std::memory_order_release);
@@ -175,7 +168,7 @@ Status Wal::WriteFrameLocked(uint8_t type, uint64_t lsn,
     }
     return Status::DataLoss(std::string("WAL write: ") + std::strerror(err));
   }
-  file_bytes_ = offset + frame.size();
+  file_bytes_ = offset + frames.size();
   return Status::Ok();
 }
 
@@ -247,7 +240,7 @@ Status Wal::CheckpointLocked(uint64_t ckpt_lsn) {
                             std::strerror(errno));
   }
   file_bytes_ = 0;
-  Status s = WriteFrameLocked(kWalFrameCheckpoint, ckpt_lsn, {});
+  Status s = AppendLocked(BuildFrame(kWalFrameCheckpoint, ckpt_lsn, {}, true));
   if (!s.ok()) return s;
   s = SyncLocked();
   if (!s.ok()) return s;
@@ -266,8 +259,8 @@ Status Wal::CheckpointIfPending() {
   // — including ones still queued behind a leader.
   std::lock_guard<std::mutex> lock(commit_mu_);
   checkpoint_pending_.store(false, std::memory_order_release);
-  if (poisoned_.load(std::memory_order_acquire) || !options_.recovery ||
-      fd_ < 0 || file_bytes_ <= options_.recycle_bytes) {
+  if (poisoned_.load(std::memory_order_acquire) ||
+      file_bytes_ <= options_.recycle_bytes) {
     return Status::Ok();
   }
   const uint64_t ckpt_lsn =
@@ -288,10 +281,6 @@ Status Wal::CommitBegin(std::string_view payload, bool durable,
                         CommitTicket* ticket) {
   ticket->wal_ = this;
   ticket->pending_ = false;
-  if (!group_on_.load(std::memory_order_relaxed)) {
-    ticket->immediate_ = CommitSync(payload, durable, penalty);
-    return ticket->immediate_;
-  }
   commits_.fetch_add(1, std::memory_order_relaxed);
   bytes_logged_.fetch_add(payload.size(), std::memory_order_relaxed);
   if (poisoned_.load(std::memory_order_acquire)) {
@@ -312,14 +301,11 @@ Status Wal::CommitBegin(std::string_view payload, bool durable,
   {
     std::lock_guard<std::mutex> lock(group_mu_);
     if (writes) {
-      if (options_.recovery) {
-        // LSNs are reserved in enqueue order under group_mu_, so the
-        // FIFO queue keeps the on-disk frames LSN-sorted.
-        waiter->lsn = lsn_reserve_.fetch_add(1, std::memory_order_relaxed) + 1;
-        waiter->frame = BuildFrame(kWalFrameTxn, waiter->lsn, payload);
-      } else {
-        waiter->frame.assign(payload);
-      }
+      // LSNs are reserved in enqueue order under group_mu_, so the FIFO
+      // queue keeps the on-disk frames LSN-sorted.
+      waiter->lsn = lsn_reserve_.fetch_add(1, std::memory_order_relaxed) + 1;
+      waiter->frame =
+          BuildFrame(kWalFrameTxn, waiter->lsn, payload, options_.recovery);
     }
     queue_.push_back(waiter.get());
   }
@@ -360,7 +346,7 @@ Status Wal::CommitFinish(CommitTicket* ticket) {
     observer.sync_wait(wait_us, rlscommon::CurrentTrace().trace_id);
   }
   // Stage stamp on the ambient request span: everything since the
-  // db_txn stamp was spent queued behind + inside the group sync.
+  // db_txn stamp was spent queued behind + inside the batch sync.
   if (own->durable) rlscommon::StampHop("wal_sync");
   return own->status;
 }
@@ -392,7 +378,7 @@ void Wal::LeadLocked(std::unique_lock<std::mutex>& lock, WalGroupWaiter* own) {
       continue;
     }
     lock.unlock();
-    const Status s = WriteGroupBatch(batch);
+    const Status s = WriteBatch(batch);
     lock.lock();
     for (WalGroupWaiter* member : batch) {
       member->status = s;
@@ -402,7 +388,7 @@ void Wal::LeadLocked(std::unique_lock<std::mutex>& lock, WalGroupWaiter* own) {
   }
 }
 
-Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
+Status Wal::WriteBatch(const std::vector<WalGroupWaiter*>& batch) {
   std::lock_guard<std::mutex> lock(commit_mu_);
   if (poisoned_.load(std::memory_order_acquire)) {
     return Status::DataLoss(
@@ -414,104 +400,29 @@ Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
   bool durable = false;
   std::chrono::microseconds penalty{0};
   for (const WalGroupWaiter* member : batch) {
-    buf += member->frame;
     max_lsn = std::max(max_lsn, member->lsn);
     durable = durable || member->durable;
     penalty = std::max(penalty, member->penalty);
   }
-  if (fd_ >= 0 && !buf.empty()) {
-    if (options_.recovery) {
-      // One contiguous append for the whole batch; the fault injector
-      // sees it as a single write, so an injected cut can land inside
-      // any member frame (recovery then replays the whole-frame
-      // prefix).
-      const uint64_t offset = file_bytes_;
-      std::size_t to_write = buf.size();
-      if (options_.fault) {
-        const auto verdict = options_.fault->OnWrite(offset, buf.size());
-        using Kind = StorageFaultInjector::WriteVerdict::Kind;
-        if (verdict.kind == Kind::kError) {
-          return Status::DataLoss(std::string("WAL batch write: ") +
-                                  std::strerror(verdict.error));
-        }
-        if (verdict.kind == Kind::kShort) {
-          std::size_t written = 0;
-          (void)PWriteAll(fd_, buf.data(), verdict.allowed, offset, &written);
-          if (options_.fault->crashed()) {
-            poisoned_.store(true, std::memory_order_release);
-            file_bytes_ = offset + written;
-            return Status::DataLoss("WAL batch write: simulated crash after " +
-                                    std::to_string(written) + " bytes");
-          }
-          if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-            poisoned_.store(true, std::memory_order_release);
-            return Status::DataLoss(
-                std::string("WAL batch short write; repair failed: ") +
-                std::strerror(errno));
-          }
-          // The whole batch is rolled back; its reserved LSNs become a
-          // gap, which replay tolerates (it only requires ascending
-          // LSNs, not dense ones).
-          return Status::DataLoss(std::string("WAL batch short write: ") +
-                                  std::strerror(verdict.error));
-        }
-        to_write = buf.size();
-      }
-      std::size_t written = 0;
-      const int err = PWriteAll(fd_, buf.data(), to_write, offset, &written);
-      if (err != 0) {
-        if (::ftruncate(fd_, static_cast<off_t>(offset)) != 0) {
-          poisoned_.store(true, std::memory_order_release);
-          return Status::DataLoss(
-              std::string("WAL batch write failed; repair failed: ") +
-              std::strerror(errno));
-        }
-        return Status::DataLoss(std::string("WAL batch write: ") +
-                                std::strerror(err));
-      }
-      file_bytes_ = offset + buf.size();
-      if (max_lsn > last_lsn_) last_lsn_ = max_lsn;
-      if (file_bytes_ > options_.recycle_bytes) {
-        // Defer the checkpoint: the snapshot writer takes table locks,
-        // which must not happen while committers are parked behind this
-        // leader (see CheckpointIfPending).
-        checkpoint_pending_.store(true, std::memory_order_release);
-      }
-    } else {
-      // Legacy cost model: recycle by seeking home, then stream the
-      // batch through the same ::write path as the per-txn mode so the
-      // kernel file offset stays in step with file_bytes_.
-      if (file_bytes_ > options_.recycle_bytes) {
-        if (::lseek(fd_, 0, SEEK_SET) == 0) file_bytes_ = 0;
-      }
-      const char* p = buf.data();
-      std::size_t n = buf.size();
-      if (options_.fault) {
-        const auto verdict = options_.fault->OnWrite(file_bytes_, n);
-        using Kind = StorageFaultInjector::WriteVerdict::Kind;
-        if (verdict.kind != Kind::kOk) {
-          if (verdict.kind == Kind::kShort) {
-            ssize_t w = ::write(fd_, p, verdict.allowed);
-            if (w > 0) file_bytes_ += static_cast<uint64_t>(w);
-            if (options_.fault->crashed()) {
-              poisoned_.store(true, std::memory_order_release);
-            }
-          }
-          return Status::DataLoss(std::string("WAL batch write: ") +
-                                  std::strerror(verdict.error));
-        }
-      }
-      while (n > 0) {
-        ssize_t w = ::write(fd_, p, n);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          return Status::DataLoss(std::string("WAL batch write: ") +
-                                  std::strerror(errno));
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-        file_bytes_ += static_cast<uint64_t>(w);
-      }
+  // A batch of one (always, at cap 1) is written straight from its frame.
+  std::string_view frames = batch.front()->frame;
+  if (batch.size() > 1) {
+    for (const WalGroupWaiter* member : batch) buf += member->frame;
+    frames = buf;
+  }
+  if (max_lsn > 0) {  // frames to write (a file is open)
+    if (!options_.recovery && file_bytes_ > options_.recycle_bytes) {
+      // Scratch log: restart at offset 0 instead of checkpointing.
+      file_bytes_ = 0;
+    }
+    Status s = AppendLocked(frames);
+    if (!s.ok()) return s;
+    last_lsn_ = std::max(last_lsn_, max_lsn);
+    if (options_.recovery && file_bytes_ > options_.recycle_bytes) {
+      // Defer the checkpoint: the snapshot writer takes table locks,
+      // which must not happen while committers are parked behind this
+      // leader (see CheckpointIfPending).
+      checkpoint_pending_.store(true, std::memory_order_release);
     }
   }
   if (durable) {
@@ -522,8 +433,8 @@ Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
       syncs_.fetch_add(1, std::memory_order_relaxed);
     }
     // ONE modeled-disk penalty per sync — the whole point of group
-    // commit. The max of the members' penalties, as the slowest
-    // modeled device bounds the batch.
+    // commit, and per commit at cap 1. The max of the members'
+    // penalties, as the slowest modeled device bounds the batch.
     if (penalty.count() > 0) {
       std::this_thread::sleep_for(penalty);
       penalty_us_charged_.fetch_add(static_cast<uint64_t>(penalty.count()),
@@ -538,90 +449,7 @@ Status Wal::WriteGroupBatch(const std::vector<WalGroupWaiter*>& batch) {
   }
   if (observer.group_commit) {
     observer.group_commit(static_cast<uint64_t>(batch.size()),
-                          static_cast<uint64_t>(buf.size()));
-  }
-  return Status::Ok();
-}
-
-Status Wal::CommitSync(std::string_view payload, bool durable,
-                       std::chrono::microseconds penalty) {
-  commits_.fetch_add(1, std::memory_order_relaxed);
-  bytes_logged_.fetch_add(payload.size(), std::memory_order_relaxed);
-
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  if (poisoned_.load(std::memory_order_acquire)) {
-    return Status::DataLoss("WAL is poisoned after an earlier sync/write "
-                            "failure; restart and recover");
-  }
-  if (fd_ >= 0 && !payload.empty()) {
-    if (options_.recovery) {
-      Status s = WriteFrameLocked(kWalFrameTxn, last_lsn_ + 1, payload);
-      if (!s.ok()) return s;
-      ++last_lsn_;
-      if (lsn_reserve_.load(std::memory_order_relaxed) < last_lsn_) {
-        lsn_reserve_.store(last_lsn_, std::memory_order_relaxed);
-      }
-      // Checkpoint AFTER appending this frame, never before: the engine
-      // applies a transaction's mutations to the tables before it
-      // commits here, so the snapshot below already contains this
-      // transaction's effects. Taking it after the append makes the
-      // sidecar LSN include this frame — replay skips it and nothing is
-      // applied twice. (A pre-append checkpoint would capture the
-      // effects under an LSN that excludes them: double-apply on
-      // recovery.)
-      if (file_bytes_ > options_.recycle_bytes) {
-        s = CheckpointLocked(last_lsn_);
-        if (!s.ok()) return s;
-      }
-    } else {
-      if (file_bytes_ > options_.recycle_bytes) {
-        if (::lseek(fd_, 0, SEEK_SET) == 0) file_bytes_ = 0;
-      }
-      const char* p = payload.data();
-      std::size_t n = payload.size();
-      if (options_.fault) {
-        const auto verdict = options_.fault->OnWrite(file_bytes_, n);
-        using Kind = StorageFaultInjector::WriteVerdict::Kind;
-        if (verdict.kind != Kind::kOk) {
-          if (verdict.kind == Kind::kShort) {
-            ssize_t w = ::write(fd_, p, verdict.allowed);
-            if (w > 0) file_bytes_ += static_cast<uint64_t>(w);
-            if (options_.fault->crashed()) {
-              poisoned_.store(true, std::memory_order_release);
-            }
-          }
-          return Status::DataLoss(std::string("WAL write: ") +
-                                  std::strerror(verdict.error));
-        }
-      }
-      while (n > 0) {
-        ssize_t w = ::write(fd_, p, n);
-        if (w < 0) {
-          if (errno == EINTR) continue;
-          return Status::DataLoss(std::string("WAL write: ") +
-                                  std::strerror(errno));
-        }
-        p += w;
-        n -= static_cast<std::size_t>(w);
-        file_bytes_ += static_cast<uint64_t>(w);
-      }
-    }
-  }
-  if (durable) {
-    if (fd_ >= 0) {
-      Status s = SyncLocked();
-      if (!s.ok()) return s;
-    } else {
-      syncs_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (penalty.count() > 0) {
-      std::this_thread::sleep_for(penalty);
-      penalty_us_charged_.fetch_add(static_cast<uint64_t>(penalty.count()),
-                                    std::memory_order_relaxed);
-    }
-    // Stage stamp on the ambient request span: everything since the
-    // db_txn stamp (taken before this commit) was spent syncing.
-    rlscommon::StampHop("wal_sync");
+                          static_cast<uint64_t>(frames.size()));
   }
   return Status::Ok();
 }

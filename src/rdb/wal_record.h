@@ -41,9 +41,9 @@ struct WalRecord {
 };
 
 /// Appenders used by the SQL executor while a transaction buffers its
-/// mutations. The same byte stream serves the legacy bytes-only WAL
-/// profile (where it is opaque cost accounting) and the recovery profile
-/// (where Recover replays it).
+/// mutations. The same byte stream serves a scratch WAL (recovery off,
+/// where it is opaque cost accounting) and the recovery profile (where
+/// Recover replays it).
 void AppendInsertRecord(const std::string& table, const Row& row,
                         std::string* out);
 void AppendUpdateRecord(const std::string& table, const Row& old_row,

@@ -170,8 +170,8 @@ Status EnsureDatabases(const RlsServerConfig& config, dbapi::Environment& env,
   Status s = ensure(config.lrc.enabled ? config.lrc.dsn : "",
                     config.lrc.wal_recovery || config.lrc.wal_group_commit);
   if (!s.ok()) return s;
-  // RLI relational state is soft state (rebuilt by LRC updates): legacy
-  // WAL profile always.
+  // RLI relational state is soft state (rebuilt by LRC updates): WAL
+  // recovery off always.
   return ensure(config.rli.enabled ? config.rli.dsn : "", false);
 }
 

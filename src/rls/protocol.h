@@ -266,7 +266,7 @@ struct TargetStatus {
 /// Full introspection snapshot: vitals + per-target freshness + every
 /// registry instrument.
 /// What open-time WAL replay did on the server's LRC database. All-zero
-/// with enabled=0 when the server runs the legacy bytes-only WAL profile.
+/// with enabled=0 when the server's WAL runs with recovery off.
 struct WalRecoveryStatus {
   uint8_t enabled = 0;           // crash-safe WAL profile active
   uint64_t recovered_txns = 0;   // committed transactions replayed at open
@@ -282,7 +282,7 @@ struct WalRecoveryStatus {
   uint8_t group_commit = 0;      // leader/follower group commit active
   uint64_t commits = 0;          // transactions committed since open
   uint64_t syncs = 0;            // fdatasyncs issued
-  uint64_t group_commits = 0;    // batches written by group leaders
+  uint64_t group_commits = 0;    // batches written (one per commit at cap 1)
 };
 
 struct GetStatsResponse {

@@ -56,9 +56,10 @@ struct LrcRoleConfig {
   bool enabled = false;
   std::string dsn;
   UpdateConfig update;
-  /// Crash-safe WAL profile for the LRC database: framed checksummed
-  /// records, checkpoint-at-wrap, open-time replay (config key
-  /// `wal_recovery`). Off = the legacy bytes-only flush model.
+  /// The WAL keys below go into the LRC database's profile when
+  /// EnsureDatabases creates it.
+  /// Crash-safe WAL (config key `wal_recovery`): checkpoint at wrap,
+  /// open-time replay. Off = a scratch log for the flush cost model.
   bool wal_recovery = false;
   /// WAL group commit (config key `wal_group_commit`): concurrent
   /// committers share one fdatasync + one modeled-disk penalty per

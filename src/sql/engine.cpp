@@ -544,8 +544,8 @@ Status Engine::CommitBegin(Session* session, rdb::Wal::CommitTicket* ticket) {
 
 Status Engine::CommitWait(rdb::Wal::CommitTicket* ticket) {
   Status s = db_->wal().CommitFinish(ticket);
-  // A group-commit batch that crossed the recycle threshold deferred
-  // its checkpoint; run it now that this thread holds no locks.
+  // A batch that crossed the recycle threshold deferred its
+  // checkpoint; run it now that this thread holds no locks.
   Status ckpt = db_->MaybeCheckpoint();
   return s.ok() ? ckpt : s;
 }

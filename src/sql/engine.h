@@ -71,9 +71,9 @@ class Engine {
 
   /// First half of COMMIT, split so a caller can release its own
   /// ordering lock before parking for the group sync: closes the open
-  /// transaction, hands the WAL buffer to the log (group mode: reserves
-  /// the LSN and enqueues without blocking on disk) and releases the
-  /// txn gate. Complete with CommitWait.
+  /// transaction, hands the WAL buffer to the log (reserves the LSN and
+  /// enqueues without blocking on disk) and releases the txn gate.
+  /// Complete with CommitWait.
   rlscommon::Status CommitBegin(Session* session,
                                 rdb::Wal::CommitTicket* ticket);
 

@@ -13,8 +13,8 @@
 //   RLS_CRASH_TXNS   workload size      (default 120)
 //   RLS_CRASH_SEED   workload seed      (default 42)
 //   RLS_CRASH_GROUP  1 = run the whole matrix with WAL group commit
-//                    enabled (batched appends; scripts/crash_matrix.sh
-//                    runs both modes)
+//                    (batch cap group_max_commits); unset/0 = cap 1, the
+//                    per-txn flush (scripts/crash_matrix.sh runs both)
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
@@ -22,6 +22,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -82,9 +83,9 @@ bool CopyFile(const std::string& from, const std::string& to) {
 rdb::BackendProfile RecoveryProfile(uint64_t recycle_bytes = 0) {
   rdb::BackendProfile profile = rdb::BackendProfile::MySQL();
   profile.wal_recovery = true;
-  // With RLS_CRASH_GROUP=1 every commit goes through the group-commit
-  // leader/batch path (batches of one for this single-threaded
-  // workload): the whole matrix must hold in both WAL modes.
+  // RLS_CRASH_GROUP=1 raises the batch cap from 1 to group_max_commits
+  // (batches stay single-commit for this single-threaded workload): the
+  // whole matrix must hold at both caps.
   profile.wal_group_commit = EnvU64("RLS_CRASH_GROUP", 0) != 0;
   if (recycle_bytes) profile.wal_recycle_bytes = recycle_bytes;
   return profile;
@@ -495,6 +496,68 @@ TEST_F(CrashRecoveryTest, GroupedBatchCutsRecoverWholeTransactionPrefix) {
       RemoveDbFiles(cut_wal);
     }
   }
+  RemoveDbFiles(wal);
+}
+
+// A checkpoint must never capture another session's uncommitted rows.
+// Session B holds an open INSERT while session A's autocommits cross a
+// small recycle threshold; then B rolls back. The reopened database must
+// not hold B's row. A runs on its own thread because its checkpoint
+// waits for B's transaction gate.
+TEST_F(CrashRecoveryTest, CheckpointNeverCapturesRolledBackRow) {
+  const std::string wal = dir_ + "/rollback.wal";
+  RemoveDbFiles(wal);
+  constexpr uint64_t kRecycle = 512;
+  int a_commits = 0;
+  {
+    dbapi::Environment live_env;
+    const std::string dsn = NewDsn();
+    ASSERT_TRUE(live_env
+                    .CreateDatabaseWithProfile(dsn, RecoveryProfile(kRecycle), wal)
+                    .ok());
+    std::unique_ptr<dbapi::Connection> a, b;
+    ASSERT_TRUE(dbapi::Connection::Open(live_env, dsn, &a).ok());
+    ASSERT_TRUE(dbapi::Connection::Open(live_env, dsn, &b).ok());
+    ASSERT_TRUE(CreateKvSchema(*a).ok());
+    rdb::Database* db = live_env.Find(dsn);
+    ASSERT_TRUE(db->Recover().ok());
+
+    sql::ResultSet rs;
+    ASSERT_TRUE(b->Begin().ok());
+    ASSERT_TRUE(b->Execute("INSERT INTO kv (key, value) VALUES (?, ?)",
+                           {rdb::Value::String("rolled-back"), rdb::Value::Int(-1)},
+                           &rs)
+                    .ok());
+
+    // A autocommits until a checkpoint has run or is pending.
+    std::atomic<bool> a_done{false};
+    std::thread writer([&] {
+      sql::ResultSet ars;
+      while (db->wal().checkpoints() == 0 && a_commits < 1000) {
+        EXPECT_TRUE(a->Execute("INSERT INTO kv (key, value) VALUES (?, ?)",
+                               {rdb::Value::String("a" + std::to_string(a_commits)),
+                                rdb::Value::Int(a_commits)},
+                               &ars)
+                        .ok());
+        ++a_commits;
+      }
+      a_done = true;
+    });
+    // A's crossing commit parks on B's gate with the checkpoint pending.
+    while (!a_done && !db->wal().checkpoint_pending()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(b->Rollback().ok());
+    writer.join();
+    ASSERT_EQ(db->wal().checkpoints(), 1u);
+  }
+
+  dbapi::Environment env;
+  rdb::Database* db = Reopen(env, NewDsn(), wal, kRecycle);
+  const Model recovered = DumpTable(db);
+  EXPECT_EQ(recovered.count("rolled-back"), 0u);
+  EXPECT_EQ(recovered.size(), static_cast<std::size_t>(a_commits));
+  EXPECT_GT(db->recovery_stats().snapshot_rows, 0u);
   RemoveDbFiles(wal);
 }
 

@@ -251,7 +251,11 @@ TEST(GetStatsTest, GroupCommitWalCountersSurface) {
   config.lrc.enabled = true;
   config.lrc.dsn = "mysql://obs_gc";
   config.lrc.wal_group_commit = true;
-  ASSERT_TRUE(env.CreateDatabase(config.lrc.dsn).ok());
+  // The database profile carries group commit (EnsureDatabases copies
+  // the config key into it; the server itself does not switch it).
+  rdb::BackendProfile profile = rdb::BackendProfile::MySQL();
+  profile.wal_group_commit = true;
+  ASSERT_TRUE(env.CreateDatabaseWithProfile(config.lrc.dsn, profile).ok());
   rls::RlsServer server(&network, config, &env);
   ASSERT_TRUE(server.Start().ok());
   // Durable flushes so sync waits actually happen (penalty 0: fast).

@@ -257,6 +257,9 @@ class RecoveryIdempotenceProperty : public ::testing::TestWithParam<uint64_t> {
       }
       if (!payload.empty()) {
         ASSERT_TRUE(db->wal().Commit(payload, true, {}).ok());
+        // The engine checkpoints after every commit once a batch crossed
+        // the recycle threshold.
+        ASSERT_TRUE(db->MaybeCheckpoint().ok());
       }
     }
   }

@@ -1,11 +1,13 @@
 // WAL tests.
 //
-// Legacy mode: recycle-wrap boundary behavior (the log wraps to offset 0
-// once a commit pushes the file past the recycle threshold), driven with
-// a tiny threshold instead of the production 256 MB.
+// Recovery off: recycle-wrap boundary behavior (the scratch log restarts
+// at offset 0 once a batch pushes the file past the recycle threshold),
+// driven with a tiny threshold instead of the production 256 MB. Every
+// commit is one frame of payload + kWalFrameHeaderBytes (17) bytes.
 //
-// Recovery mode: framed commits, torn-tail truncation, checksum
-// rejection, checkpoint-at-wrap, and the fail-stop storage failure
+// Recovery on: framed commits, torn-tail truncation, checksum
+// rejection, checkpoint-at-wrap (run through CheckpointIfPending, as
+// Database::MaybeCheckpoint does), and the fail-stop storage failure
 // policy, driven through the seeded StorageFaultInjector.
 #include "rdb/wal.h"
 
@@ -72,51 +74,55 @@ std::vector<std::pair<uint64_t, std::string>> Replay(Wal* wal,
 TEST(WalRecycleTest, WrapsPastThreshold) {
   const std::string path = TestPath("wal_wrap");
   Wal wal(path, /*recycle_bytes=*/64);
-  const std::string record(10, 'x');
-  // 6 commits = 60 bytes: still below the threshold, no wrap yet.
-  for (int i = 0; i < 6; ++i) {
+  const std::string record(10, 'x');  // frame = 17 + 10 = 27 bytes
+  // 2 commits = 54 bytes: still below the threshold, no wrap yet.
+  for (int i = 0; i < 2; ++i) {
     ASSERT_TRUE(wal.Commit(record, false, {}).ok());
   }
-  EXPECT_EQ(wal.file_bytes(), 60u);
-  // 7th commit crosses 64; the *next* commit observes file_bytes_ >
-  // threshold and rewinds to offset 0 before writing.
+  EXPECT_EQ(wal.file_bytes(), 54u);
+  // 3rd commit crosses 64; the *next* commit observes file_bytes_ >
+  // threshold and restarts at offset 0 before writing.
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 70u);
+  EXPECT_EQ(wal.file_bytes(), 81u);
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 10u);  // wrapped: first record after rewind
+  EXPECT_EQ(wal.file_bytes(), 27u);  // wrapped: first frame after restart
   // Accounting is monotonic even though the file position wrapped.
-  EXPECT_EQ(wal.commits(), 8u);
-  EXPECT_EQ(wal.bytes_logged(), 80u);
+  EXPECT_EQ(wal.commits(), 4u);
+  EXPECT_EQ(wal.bytes_logged(), 40u);
+  // A scratch log wraps without a checkpoint or a sidecar.
+  EXPECT_EQ(wal.checkpoints(), 0u);
+  EXPECT_EQ(::access((path + ".ckpt").c_str(), F_OK), -1);
 }
 
 TEST(WalRecycleTest, FileSizeStaysBounded) {
   const std::string path = TestPath("wal_bounded");
   const uint64_t threshold = 256;
   const std::string record(64, 'y');
+  const uint64_t frame = kWalFrameHeaderBytes + record.size();
   Wal wal(path, threshold);
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(wal.Commit(record, false, {}).ok());
   }
-  // 6400 bytes logged, but the file never grows past threshold + one
-  // record (the commit that crosses the threshold before wrapping).
+  // 6400 payload bytes logged, but the file never grows past threshold
+  // + one frame (the commit that crosses the threshold before wrapping).
   EXPECT_EQ(wal.bytes_logged(), 6400u);
-  EXPECT_LE(FileSize(path), threshold + record.size());
-  EXPECT_LE(wal.file_bytes(), threshold + record.size());
+  EXPECT_LE(FileSize(path), threshold + frame);
+  EXPECT_LE(wal.file_bytes(), threshold + frame);
 }
 
 TEST(WalRecycleTest, ExactBoundaryDoesNotWrapEarly) {
   // Landing exactly on the threshold is not "past" it: the wrap
   // condition is strictly greater-than.
   const std::string path = TestPath("wal_exact");
-  Wal wal(path, /*recycle_bytes=*/40);
-  const std::string record(20, 'z');
+  Wal wal(path, /*recycle_bytes=*/74);
+  const std::string record(20, 'z');  // frame = 17 + 20 = 37 bytes
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 40u);
+  EXPECT_EQ(wal.file_bytes(), 74u);
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 60u);  // 40 == threshold: no wrap yet
+  EXPECT_EQ(wal.file_bytes(), 111u);  // 74 == threshold: no wrap yet
   ASSERT_TRUE(wal.Commit(record, false, {}).ok());
-  EXPECT_EQ(wal.file_bytes(), 20u);  // 60 > threshold: wrapped
+  EXPECT_EQ(wal.file_bytes(), 37u);  // 111 > threshold: wrapped
 }
 
 TEST(WalRecycleTest, InMemoryWalIgnoresThreshold) {
@@ -235,8 +241,14 @@ TEST(WalRecoveryTest, CheckpointAtWrapCarriesPreWrapLsn) {
     });
     ASSERT_TRUE(wal.Commit(payload, true, {}).ok());  // file: 33
     ASSERT_TRUE(wal.Commit(payload, true, {}).ok());  // file: 66 > 64
-    // This commit first checkpoints (sidecar at LSN 2, log truncated,
-    // checkpoint frame), then appends LSN 3.
+    // The crossing commit only marked the checkpoint pending; running
+    // it writes the sidecar at LSN 2, truncates the log and writes the
+    // checkpoint frame. The next commit appends LSN 3.
+    EXPECT_TRUE(wal.checkpoint_pending());
+    EXPECT_EQ(wal.checkpoints(), 0u);
+    ASSERT_TRUE(wal.CheckpointIfPending().ok());
+    EXPECT_FALSE(wal.checkpoint_pending());
+    EXPECT_EQ(wal.file_bytes(), 17u);  // checkpoint frame only
     ASSERT_TRUE(wal.Commit(payload, true, {}).ok());
     EXPECT_EQ(wal.checkpoints(), 1u);
     EXPECT_EQ(wal.file_bytes(), 17u + 33u);  // checkpoint frame + txn frame
@@ -269,6 +281,7 @@ TEST(WalRecoveryTest, CorruptSidecarIsReportedAsDataLoss) {
     wal.SetCheckpointWriter([](uint64_t*) { return std::string("STATE"); });
     for (int i = 0; i < 3; ++i) {
       ASSERT_TRUE(wal.Commit(payload, true, {}).ok());
+      ASSERT_TRUE(wal.CheckpointIfPending().ok());
     }
     ASSERT_EQ(wal.checkpoints(), 1u);
   }
@@ -291,7 +304,7 @@ TEST(WalRecoveryTest, CorruptSidecarIsReportedAsDataLoss) {
 // --------------------------------------------------------------------
 // Storage failure policy (satellite of the crash-safety tentpole):
 // write errors are typed, non-retryable DATA_LOSS; a failed sync
-// poisons the log permanently in BOTH modes.
+// poisons the log permanently, with recovery on or off.
 // --------------------------------------------------------------------
 
 TEST(WalFaultTest, FailedSyncPoisonsRecoveryModeWal) {
@@ -317,7 +330,7 @@ TEST(WalFaultTest, FailedSyncPoisonsLegacyModeWal) {
   StorageFaultInjector fault(/*seed=*/1);
   fault.FailNthSync(1, EIO);
   WalOptions options;
-  options.fault = &fault;  // legacy mode (recovery=false) with injection
+  options.fault = &fault;  // recovery off, with injection
   Wal wal(path, options);
   rlscommon::Status s = wal.Commit("payload", /*durable=*/true, {});
   EXPECT_EQ(s.code(), rlscommon::ErrorCode::kDataLoss);
@@ -397,9 +410,9 @@ TEST(WalFaultTest, CrashLeavesTornFrameForRecovery) {
 }
 
 // --------------------------------------------------------------------
-// Group commit: leader/follower batching (one write + one sync + one
-// modeled penalty per batch), LSN ordering, and the failure policy for
-// grouped frames.
+// Batching: leader/follower batches (one write + one sync + one
+// modeled penalty per batch; a batch of one with group commit off), LSN
+// ordering, and the failure policy for grouped frames.
 // --------------------------------------------------------------------
 
 /// Group-commit options with a linger long enough that `max_commits`
@@ -451,15 +464,54 @@ TEST(WalGroupCommitTest, BatchSharesOneSyncAndOnePenalty) {
 TEST(WalGroupCommitTest, PerTxnModeChargesPenaltyPerCommit) {
   const std::string path = TestPath("wal_pertxn_penalty");
   RemoveWalFiles(path);
-  Wal wal(path, RecoveryOptions(1 << 20));  // group commit off
+  Wal wal(path, RecoveryOptions(1 << 20));  // group commit off: cap 1
   const auto penalty = std::chrono::microseconds(300);
   for (int i = 0; i < 3; ++i) {
     ASSERT_TRUE(wal.Commit("payload", true, penalty).ok());
   }
-  // Per-txn mode: every durable commit pays its own sync and its own
-  // full modeled penalty (the paper's serialized Fig. 4 cost model).
+  // Per-txn flush: every durable commit is a batch of one and pays its
+  // own sync and its own full modeled penalty (the paper's serialized
+  // Fig. 4 cost model).
   EXPECT_EQ(wal.syncs(), 3u);
+  EXPECT_EQ(wal.group_commits(), 3u);
   EXPECT_EQ(wal.penalty_us_charged(), 900u);
+  RemoveWalFiles(path);
+}
+
+TEST(WalGroupCommitTest, CapOneNeverSharesASyncUnderConcurrency) {
+  // Concurrent committers with group commit off still queue behind one
+  // leader, but each batch holds one commit: syncs and penalties stay
+  // one per commit, which keeps Fig. 4's flush-enabled curve flat.
+  const std::string path = TestPath("wal_cap_one");
+  RemoveWalFiles(path);
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 10;
+  {
+    Wal wal(path, RecoveryOptions(1 << 20));
+    const auto penalty = std::chrono::microseconds(100);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&wal, penalty] {
+        for (int i = 0; i < kPerThread; ++i) {
+          EXPECT_TRUE(wal.Commit(std::string(16, 'c'), true, penalty).ok());
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    constexpr uint64_t kCommits = kThreads * kPerThread;
+    EXPECT_EQ(wal.commits(), kCommits);
+    EXPECT_EQ(wal.syncs(), kCommits);
+    EXPECT_EQ(wal.group_commits(), kCommits);
+    EXPECT_EQ(wal.penalty_us_charged(), kCommits * 100);
+    EXPECT_EQ(wal.file_bytes(), kCommits * (kWalFrameHeaderBytes + 16));
+  }
+  Wal reopened(path, RecoveryOptions(1 << 20));
+  WalRecoverResult result;
+  const auto frames = Replay(&reopened, 0, &result);
+  ASSERT_EQ(frames.size(), static_cast<std::size_t>(kThreads * kPerThread));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].first, i + 1);
+  }
   RemoveWalFiles(path);
 }
 
@@ -565,31 +617,39 @@ TEST(WalGroupCommitTest, CrashMidBatchReplaysWholeTransactionPrefix) {
 }
 
 TEST(WalGroupCommitTest, ToggleBetweenModesKeepsLsnContinuity) {
+  // The batch cap is fixed per Wal; switching it is a reopen. Write
+  // with cap 1, reopen with cap 64, then back to cap 1: the LSN
+  // sequence continues across each reopen and replays whole.
   const std::string path = TestPath("wal_group_toggle");
   RemoveWalFiles(path);
-  {
-    Wal wal(path, RecoveryOptions(1 << 20));
-    ASSERT_TRUE(wal.Commit("one", true, {}).ok());
-    ASSERT_TRUE(wal.Commit("two", true, {}).ok());
-    wal.SetGroupCommit(true);
-    ASSERT_TRUE(wal.Commit("three", true, {}).ok());
-    ASSERT_TRUE(wal.Commit("four", true, {}).ok());
-    wal.SetGroupCommit(false);
-    ASSERT_TRUE(wal.Commit("five", true, {}).ok());
-    EXPECT_EQ(wal.last_lsn(), 5u);
+  const WalOptions cap_one = RecoveryOptions(1 << 20);
+  const WalOptions cap_64 = GroupOptions(1 << 20, 64, std::chrono::microseconds(0));
+  const char* payloads[] = {"one", "two", "three", "four", "five"};
+  const WalOptions* phases[] = {&cap_one, &cap_64, &cap_one};
+  const int commits_per_phase[] = {2, 2, 1};
+  int next = 0;
+  for (int phase = 0; phase < 3; ++phase) {
+    Wal wal(path, *phases[phase]);
+    WalRecoverResult result;
+    EXPECT_EQ(Replay(&wal, 0, &result).size(), static_cast<std::size_t>(next));
+    for (int i = 0; i < commits_per_phase[phase]; ++i, ++next) {
+      ASSERT_TRUE(wal.Commit(payloads[next], true, {}).ok());
+    }
+    EXPECT_EQ(wal.last_lsn(), static_cast<uint64_t>(next));
   }
-  Wal reopened(path, RecoveryOptions(1 << 20));
+  Wal reopened(path, cap_one);
   WalRecoverResult result;
   const auto frames = Replay(&reopened, 0, &result);
   ASSERT_EQ(frames.size(), 5u);
-  EXPECT_EQ(frames[4], (std::pair<uint64_t, std::string>{5, "five"}));
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i], (std::pair<uint64_t, std::string>{i + 1, payloads[i]}));
+  }
   RemoveWalFiles(path);
 }
 
 TEST(WalGroupCommitTest, LegacyModeGroupingKeepsByteAccounting) {
-  // The Fig. 4 bench flips the legacy (non-recovery) WAL into group
-  // mode: bytes/commit accounting and the recycle wrap must match the
-  // per-txn cost model.
+  // The Fig. 4 bench runs group commit on a WAL with recovery off:
+  // bytes/commit accounting and the frame bytes must match cap 1.
   const std::string path = TestPath("wal_group_legacy");
   WalOptions options;
   options.recycle_bytes = 1 << 20;
@@ -608,7 +668,8 @@ TEST(WalGroupCommitTest, LegacyModeGroupingKeepsByteAccounting) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(wal.commits(), static_cast<uint64_t>(kThreads * kPerThread));
   EXPECT_EQ(wal.bytes_logged(), static_cast<uint64_t>(kThreads * kPerThread * 10));
-  EXPECT_EQ(wal.file_bytes(), static_cast<uint64_t>(kThreads * kPerThread * 10));
+  EXPECT_EQ(wal.file_bytes(),
+            static_cast<uint64_t>(kThreads * kPerThread * (10 + kWalFrameHeaderBytes)));
   EXPECT_LE(wal.syncs(), wal.commits());
 }
 
