@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the primitives underneath the
-// paper's numbers: Bloom filter ops, hashing, SQL engine ops, wire codec,
-// wildcard matching, and the LRC/RLI stores below the RPC layer.
+// paper's numbers: Bloom filter ops, hashing, SQL engine ops, the rdb
+// hash index, CRC32C, wire codec, wildcard matching, and the LRC/RLI
+// stores below the RPC layer.
 //
 // The store benchmarks report `allocs_per_op` (or `allocs_per_name`):
 // heap allocations per operation, counted by the replacement operator
@@ -13,10 +14,12 @@
 #include <new>
 
 #include "bloom/bloom_filter.h"
+#include "common/crc32c.h"
 #include "common/rng.h"
 #include "common/strings.h"
 #include "common/workload.h"
 #include "net/serialize.h"
+#include "rdb/index.h"
 #include "rls/lrc_store.h"
 #include "rls/protocol.h"
 #include "rls/rli_store.h"
@@ -195,6 +198,43 @@ double AllocationsPerCall(uint64_t warmup, uint64_t ops, Fn&& fn) {
   return static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before) /
          static_cast<double>(ops);
 }
+
+/// Builds a HashIndex from empty to 200k name keys (one iteration = the
+/// whole build). `per_insert` is the time per key, `allocs_per_op` the
+/// heap allocations per key insert.
+void BM_HashIndexInsert(benchmark::State& state) {
+  constexpr uint32_t kKeys = 200000;
+  rlscommon::NameGenerator gen("micro");
+  std::vector<rdb::Value> keys;
+  keys.reserve(kKeys);
+  for (uint32_t i = 0; i < kKeys; ++i) keys.push_back(rdb::Value::String(gen.LogicalName(i)));
+  auto build = [&] {
+    rdb::HashIndex index(rdb::IndexDeleteMode::kErase);
+    for (uint32_t i = 0; i < kKeys; ++i) {
+      index.Insert(keys[i], rdb::Rid{i / 64, static_cast<uint16_t>(i % 64)});
+    }
+    benchmark::DoNotOptimize(index.bucket_count());
+  };
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  build();
+  state.counters["allocs_per_op"] =
+      static_cast<double>(g_allocations.load(std::memory_order_relaxed) - before) / kKeys;
+  for (auto _ : state) build();
+  state.counters["per_insert"] = benchmark::Counter(
+      kKeys, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetItemsProcessed(state.iterations() * kKeys);
+}
+BENCHMARK(BM_HashIndexInsert)->Unit(benchmark::kMillisecond);
+
+/// CRC32C over one buffer of `range(0)` bytes (a small WAL frame, and a
+/// bulk transaction's frame).
+void BM_Crc32c(benchmark::State& state) {
+  std::string buf(static_cast<std::size_t>(state.range(0)), '\0');
+  for (std::size_t i = 0; i < buf.size(); ++i) buf[i] = static_cast<char>(i * 131);
+  for (auto _ : state) benchmark::DoNotOptimize(rlscommon::Crc32c(buf));
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32c)->Arg(64)->Arg(256 << 10);
 
 constexpr uint64_t kLrcPreload = 20000;
 

@@ -7,27 +7,50 @@ namespace {
 
 constexpr uint32_t kPoly = 0x82F63B78u;  // reflected Castagnoli
 
-constexpr std::array<uint32_t, 256> MakeTable() {
-  std::array<uint32_t, 256> table{};
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// Slice-by-8 tables: kTables[0] is the classic byte table, and
+/// kTables[k][b] is the CRC of byte b followed by k zero bytes, so eight
+/// lookups fold eight input bytes at once.
+constexpr Tables MakeTables() {
+  Tables t{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
     }
-    table[i] = crc;
+    t[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFF];
+    }
+  }
+  return t;
 }
 
-constexpr std::array<uint32_t, 256> kTable = MakeTable();
+constexpr Tables kTables = MakeTables();
+
+uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32cExtend(uint32_t crc, const void* data, std::size_t len) {
   const auto* p = static_cast<const unsigned char*>(data);
   crc = ~crc;
-  for (std::size_t i = 0; i < len; ++i) {
-    crc = kTable[(crc ^ p[i]) & 0xFF] ^ (crc >> 8);
+  for (; len >= 8; p += 8, len -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(p);
+    const uint32_t hi = LoadLe32(p + 4);
+    crc = kTables[7][lo & 0xFF] ^ kTables[6][(lo >> 8) & 0xFF] ^
+          kTables[5][(lo >> 16) & 0xFF] ^ kTables[4][lo >> 24] ^
+          kTables[3][hi & 0xFF] ^ kTables[2][(hi >> 8) & 0xFF] ^
+          kTables[1][(hi >> 16) & 0xFF] ^ kTables[0][hi >> 24];
+  }
+  for (; len > 0; ++p, --len) {
+    crc = kTables[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
   }
   return ~crc;
 }

@@ -1,5 +1,7 @@
 #include "rdb/index.h"
 
+#include <algorithm>
+
 namespace rdb {
 namespace {
 
@@ -11,120 +13,118 @@ std::size_t NextPow2(std::size_t v) {
 
 }  // namespace
 
-HashIndex::HashIndex(IndexDeleteMode mode, bool unique, std::size_t initial_buckets)
-    : mode_(mode), unique_(unique) {
-  buckets_.resize(NextPow2(initial_buckets < 16 ? 16 : initial_buckets));
+HashIndex::HashIndex(IndexDeleteMode mode, std::size_t initial_buckets) : mode_(mode) {
+  heads_.assign(NextPow2(initial_buckets < 16 ? 16 : initial_buckets), kNone);
 }
 
-bool HashIndex::Insert(const Value& key, Rid rid) {
+void HashIndex::Insert(const Value& key, Rid rid) {
   const uint64_t hash = key.Hash();
-  auto& bucket = buckets_[BucketFor(hash)];
-  if (unique_) {
-    for (const Entry& e : bucket) {
-      stats_.probe_steps.fetch_add(1, std::memory_order_relaxed);
-      if (!e.dead && e.hash == hash && e.key == key) return false;
-    }
+  const std::size_t b = BucketFor(hash);
+  const Entry entry{hash, rid, heads_[b], /*dead=*/false};
+  uint32_t i = free_;
+  if (i != kNone) {
+    free_ = entries_[i].next;
+    entries_[i] = entry;
+  } else {
+    i = static_cast<uint32_t>(entries_.size());
+    entries_.push_back(entry);
   }
-  bucket.push_back(Entry{hash, key, rid, /*dead=*/false});
+  heads_[b] = i;
   if (!hints_.empty()) {
-    auto hint = hints_.find(BucketFor(hash));
-    if (hint != hints_.end()) {
-      hint->second[PackRid(rid)] = static_cast<uint32_t>(bucket.size() - 1);
-    }
+    auto hint = hints_.find(b);
+    if (hint != hints_.end()) hint->second[PackRid(rid)] = i;
   }
   ++stats_.live_entries;
   MaybeGrow();
-  return true;
 }
 
 void HashIndex::Erase(const Value& key, Rid rid) {
   const uint64_t hash = key.Hash();
   const std::size_t b = BucketFor(hash);
-  auto& bucket = buckets_[b];
-  auto matches = [&](const Entry& e) {
-    return !e.dead && e.hash == hash && e.rid == rid && e.key == key;
-  };
-  std::size_t i = bucket.size();
-  RidPositions* hint = nullptr;
-  if (bucket.size() > kHintedChain) {
-    auto [it, fresh] = hints_.try_emplace(b);
-    hint = &it->second;
-    if (fresh) {
-      // First erase in a long bucket: index every rid once, so this and
-      // later erases cost one step each instead of a chain walk.
-      for (std::size_t j = 0; j < bucket.size(); ++j) {
-        (*hint)[PackRid(bucket[j].rid)] = static_cast<uint32_t>(j);
+  uint64_t steps = 0;
+  uint32_t found = kNone;
+  auto hint = hints_.find(b);
+  if (hint == hints_.end()) {
+    for (uint32_t i = heads_[b]; i != kNone; i = entries_[i].next) {
+      if (steps == kHintedChain) {
+        // Long chain: index its live rids once, so this and later
+        // erases cost one step each instead of a chain walk.
+        hint = hints_.try_emplace(b).first;
+        for (uint32_t j = heads_[b]; j != kNone; j = entries_[j].next) {
+          if (!entries_[j].dead) hint->second[PackRid(entries_[j].rid)] = j;
+          ++steps;
+        }
+        break;
       }
-      stats_.probe_steps.fetch_add(bucket.size(), std::memory_order_relaxed);
+      ++steps;
+      if (Matches(i, hash, rid)) {
+        found = i;
+        break;
+      }
     }
-    auto pos = hint->find(PackRid(rid));
-    stats_.probe_steps.fetch_add(1, std::memory_order_relaxed);
-    if (pos != hint->end() && pos->second < bucket.size() &&
-        matches(bucket[pos->second])) {
-      i = pos->second;
-    }
-  } else if (!hints_.empty()) {
-    hints_.erase(b);  // short again: erases below would leave its hints stale
   }
-  if (i == bucket.size()) {
-    for (i = 0; i < bucket.size(); ++i) {
-      stats_.probe_steps.fetch_add(1, std::memory_order_relaxed);
-      if (matches(bucket[i])) break;
+  if (hint != hints_.end()) {
+    ++steps;
+    auto pos = hint->second.find(PackRid(rid));
+    if (pos != hint->second.end() && Matches(pos->second, hash, rid)) {
+      found = pos->second;
+      hint->second.erase(pos);
+    } else {
+      for (uint32_t i = heads_[b]; i != kNone; i = entries_[i].next) {
+        ++steps;
+        if (Matches(i, hash, rid)) {
+          found = i;
+          break;
+        }
+      }
     }
-    if (i == bucket.size()) return;
   }
-  if (mode_ == IndexDeleteMode::kErase) {
-    bucket[i] = std::move(bucket.back());
-    bucket.pop_back();
-    if (hint) {
-      hint->erase(PackRid(rid));
-      if (i < bucket.size()) (*hint)[PackRid(bucket[i].rid)] = static_cast<uint32_t>(i);
-    }
-  } else {
-    bucket[i].dead = true;
-    ++stats_.tombstones;
-  }
+  stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
+  if (found == kNone) return;
   --stats_.live_entries;
+  if (mode_ == IndexDeleteMode::kTombstone) {
+    entries_[found].dead = true;
+    ++stats_.tombstones;
+    return;
+  }
+  // Unlink without a predecessor: the head entry (the newest) takes the
+  // erased entry's place, then the head is popped onto the free list.
+  const uint32_t head = heads_[b];
+  Entry& moved = entries_[head];
+  if (found != head) {
+    entries_[found].hash = moved.hash;
+    entries_[found].rid = moved.rid;
+    if (hint != hints_.end()) {
+      auto pos = hint->second.find(PackRid(moved.rid));
+      if (pos != hint->second.end() && pos->second == head) pos->second = found;
+    }
+  }
+  heads_[b] = moved.next;
+  moved.next = free_;
+  free_ = head;
 }
 
 void HashIndex::Lookup(const Value& key, std::vector<Rid>* out) const {
   const uint64_t hash = key.Hash();
-  const auto& bucket = buckets_[BucketFor(hash)];
   stats_.probes.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t first = out->size();
   uint64_t steps = 0;
-  for (const Entry& e : bucket) {
+  for (uint32_t i = heads_[BucketFor(hash)]; i != kNone; i = entries_[i].next) {
     ++steps;
-    if (e.hash != hash || !(e.key == key)) continue;
-    // Tombstone mode returns dead entries too: like a PostgreSQL index,
-    // visibility is only decided by fetching the heap tuple — the caller
-    // pays that fetch, which is what makes un-vacuumed churn expensive
-    // (paper Fig. 8).
-    if (!e.dead || mode_ == IndexDeleteMode::kTombstone) out->push_back(e.rid);
+    // Dead entries exist only in tombstone mode, and are returned: like
+    // a PostgreSQL index, visibility is only decided by fetching the
+    // heap tuple — the caller pays that fetch, which is what makes
+    // un-vacuumed churn expensive (paper Fig. 8).
+    if (entries_[i].hash == hash) out->push_back(entries_[i].rid);
   }
+  std::reverse(out->begin() + static_cast<std::ptrdiff_t>(first), out->end());
   stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
-}
-
-bool HashIndex::ContainsKey(const Value& key) const {
-  const uint64_t hash = key.Hash();
-  const auto& bucket = buckets_[BucketFor(hash)];
-  stats_.probes.fetch_add(1, std::memory_order_relaxed);
-  uint64_t steps = 0;
-  bool found = false;
-  for (const Entry& e : bucket) {
-    ++steps;
-    if (!e.dead && e.hash == hash && e.key == key) {
-      found = true;
-      break;
-    }
-  }
-  stats_.probe_steps.fetch_add(steps, std::memory_order_relaxed);
-  return found;
 }
 
 void HashIndex::Clear() {
-  const std::size_t buckets = buckets_.size();
-  buckets_.clear();
-  buckets_.resize(buckets);
+  std::fill(heads_.begin(), heads_.end(), kNone);
+  entries_.clear();
+  free_ = kNone;
   hints_.clear();
   stats_.live_entries = 0;
   stats_.tombstones = 0;
@@ -134,16 +134,26 @@ void HashIndex::MaybeGrow() {
   // Growth is triggered by LIVE entries only. Under the tombstone mode
   // this is deliberate: accumulated tombstones lengthen chains without
   // triggering a rebuild, exactly like un-vacuumed PostgreSQL index bloat.
-  if (stats_.live_entries <= buckets_.size() * 2) return;
-  std::vector<std::vector<Entry>> old = std::move(buckets_);
-  buckets_.clear();
-  hints_.clear();
-  buckets_.resize(old.size() * 2);
-  for (auto& bucket : old) {
-    for (Entry& e : bucket) {
-      buckets_[BucketFor(e.hash)].push_back(std::move(e));
+  if (stats_.live_entries <= heads_.size() * 2) return;
+  const std::size_t old = heads_.size();
+  std::vector<uint32_t> heads(old * 2, kNone);
+  for (std::size_t b = 0; b < old; ++b) {
+    // Chain b splits into chains b and b + old; appending each entry at
+    // the tail of its new chain keeps the chain order.
+    uint32_t* tail[2] = {&heads[b], &heads[b + old]};
+    for (uint32_t i = heads_[b]; i != kNone;) {
+      Entry& e = entries_[i];
+      const uint32_t next = e.next;
+      uint32_t*& t = tail[(e.hash & old) != 0];
+      *t = i;
+      t = &e.next;
+      i = next;
     }
+    *tail[0] = kNone;
+    *tail[1] = kNone;
   }
+  heads_ = std::move(heads);
+  hints_.clear();
 }
 
 void OrderedIndex::Insert(const Value& key, Rid rid) {

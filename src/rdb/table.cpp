@@ -26,7 +26,7 @@ Status Table::CreateIndex(const std::string& index_name, const std::string& colu
   entry.kind = kind;
   entry.unique = unique;
   if (kind == IndexKind::kHash) {
-    entry.hash = std::make_unique<HashIndex>(profile_->index_delete_mode(), unique);
+    entry.hash = std::make_unique<HashIndex>(profile_->index_delete_mode());
   } else {
     entry.ordered = std::make_unique<OrderedIndex>();
   }
@@ -38,10 +38,11 @@ Status Table::CreateIndex(const std::string& index_name, const std::string& colu
     status = DecodeRow(bytes, schema_.num_columns(), &row);
     if (!status.ok()) return false;
     if (entry.kind == IndexKind::kHash) {
-      if (!entry.hash->Insert(row[entry.column], rid)) {
+      if (unique && HoldsLiveKey(*entry.hash, entry.column, row[entry.column])) {
         status = Status::AlreadyExists("duplicate key building unique index " + index_name);
         return false;
       }
+      entry.hash->Insert(row[entry.column], rid);
     } else {
       entry.ordered->Insert(row[entry.column], rid);
     }
@@ -69,31 +70,19 @@ Status Table::Insert(Row row, Rid* rid_out, int64_t* auto_id) {
   Status valid = schema_.ValidateRow(row);
   if (!valid.ok()) return valid;
 
-  // Check unique constraints before touching anything. Index lookups may
-  // return dead rids (tombstone mode); each costs a heap fetch to decide
-  // visibility — the PostgreSQL dead-tuple tax of paper Fig. 8.
+  // Check unique constraints before touching anything.
   for (const IndexEntry& e : indexes_) {
-    if (!e.unique || e.kind != IndexKind::kHash) continue;
-    std::vector<Rid> rids;
-    e.hash->Lookup(row[e.column], &rids);
-    for (Rid rid : rids) {
-      if (heap_.state(rid) == SlotState::kLive) {
-        return Status::AlreadyExists("duplicate key '" + row[e.column].ToString() +
-                                     "' for unique index " + e.name);
-      }
-      Row scratch;  // visibility check: decode the dead tuple
-      (void)DecodeRow(heap_.Read(rid), schema_.num_columns(), &scratch);
+    if (e.unique && e.kind == IndexKind::kHash &&
+        HoldsLiveKey(*e.hash, e.column, row[e.column])) {
+      return Status::AlreadyExists("duplicate key '" + row[e.column].ToString() +
+                                   "' for unique index " + e.name);
     }
   }
 
   std::string bytes;
   EncodeRow(row, &bytes);
   Rid rid = heap_.Insert(bytes);
-  Status idx = InsertIntoIndexes(row, rid);
-  if (!idx.ok()) {
-    heap_.MarkFree(rid);
-    return idx;
-  }
+  InsertIntoIndexes(row, rid);
   ++stats_.inserts;
   if (rid_out) *rid_out = rid;
   return Status::Ok();
@@ -123,12 +112,11 @@ Status Table::DeleteByValue(const Row& image) {
   // Prefer a unique hash index: one probe instead of a scan.
   for (const IndexEntry& e : indexes_) {
     if (e.kind != IndexKind::kHash || !e.unique || !e.hash) continue;
-    std::vector<Rid> rids;
-    e.hash->Lookup(image[e.column], &rids);
-    for (Rid rid : rids) {
-      Row row;
-      if (heap_.state(rid) == SlotState::kLive && ReadRow(rid, &row).ok() &&
-          row == image) {
+    rids_.clear();
+    e.hash->Lookup(image[e.column], &rids_);
+    for (Rid rid : rids_) {
+      if (heap_.state(rid) == SlotState::kLive && ReadRow(rid, &probe_row_).ok() &&
+          probe_row_ == image) {
         return Delete(rid);
       }
     }
@@ -165,7 +153,7 @@ Status Table::Update(Rid rid, Row new_row, Rid* new_rid) {
   for (const IndexEntry& e : indexes_) {
     if (!e.unique || e.kind != IndexKind::kHash) continue;
     if (new_row[e.column] == old_row[e.column]) continue;
-    if (e.hash->ContainsKey(new_row[e.column])) {
+    if (HoldsLiveKey(*e.hash, e.column, new_row[e.column])) {
       return Status::AlreadyExists("duplicate key on update for index " + e.name);
     }
   }
@@ -179,8 +167,7 @@ Status Table::Update(Rid rid, Row new_row, Rid* new_rid) {
   std::string bytes;
   EncodeRow(new_row, &bytes);
   Rid fresh = heap_.Insert(bytes);
-  Status idx = InsertIntoIndexes(new_row, fresh);
-  if (!idx.ok()) return idx;
+  InsertIntoIndexes(new_row, fresh);
   ++stats_.updates;
   if (new_rid) *new_rid = fresh;
   return Status::Ok();
@@ -256,30 +243,27 @@ std::vector<std::string> Table::IndexNames() const {
   return names;
 }
 
-Status Table::InsertIntoIndexes(const Row& row, Rid rid) {
-  for (std::size_t i = 0; i < indexes_.size(); ++i) {
-    IndexEntry& e = indexes_[i];
-    bool ok = true;
+bool Table::HoldsLiveKey(const HashIndex& index, std::size_t column, const Value& key) {
+  rids_.clear();
+  index.Lookup(key, &rids_);
+  for (Rid rid : rids_) {
+    // Every candidate is fetched: a live one to compare its key, a dead
+    // one (tombstone mode) to learn its visibility — the PostgreSQL
+    // dead-tuple tax of paper Fig. 8.
+    const bool live = heap_.state(rid) == SlotState::kLive;
+    if (ReadRow(rid, &probe_row_).ok() && live && probe_row_[column] == key) return true;
+  }
+  return false;
+}
+
+void Table::InsertIntoIndexes(const Row& row, Rid rid) {
+  for (IndexEntry& e : indexes_) {
     if (e.kind == IndexKind::kHash) {
-      ok = e.hash->Insert(row[e.column], rid);
+      e.hash->Insert(row[e.column], rid);
     } else {
       e.ordered->Insert(row[e.column], rid);
     }
-    if (!ok) {
-      // Undo the partial index inserts (unique race cannot happen — the
-      // caller checked — but stay safe).
-      for (std::size_t j = 0; j < i; ++j) {
-        IndexEntry& u = indexes_[j];
-        if (u.kind == IndexKind::kHash) {
-          u.hash->Erase(row[u.column], rid);
-        } else {
-          u.ordered->Erase(row[u.column], rid);
-        }
-      }
-      return Status::AlreadyExists("duplicate key for unique index " + e.name);
-    }
   }
-  return Status::Ok();
 }
 
 void Table::EraseFromIndexes(const Row& row, Rid rid) {

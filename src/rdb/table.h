@@ -106,7 +106,10 @@ class Table {
     std::unique_ptr<OrderedIndex> ordered;
   };
 
-  rlscommon::Status InsertIntoIndexes(const Row& row, Rid rid);
+  /// True if a live row holds `key` in `column`, among the candidates
+  /// `index` returns for it (caller holds the exclusive lock).
+  bool HoldsLiveKey(const HashIndex& index, std::size_t column, const Value& key);
+  void InsertIntoIndexes(const Row& row, Rid rid);
   void EraseFromIndexes(const Row& row, Rid rid);
 
   TableSchema schema_;
@@ -115,6 +118,9 @@ class Table {
   std::vector<IndexEntry> indexes_;
   int64_t auto_counter_ = 0;
   mutable TableStats stats_;  // scan counters update under shared lock
+  /// Probe scratch of the write paths (exclusive lock held).
+  std::vector<Rid> rids_;
+  Row probe_row_;
   mutable std::shared_mutex mu_;
 };
 

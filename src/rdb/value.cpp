@@ -48,6 +48,12 @@ int Value::Compare(const Value& other) const {
     int c = AsString().compare(other.AsString());
     return c < 0 ? -1 : (c > 0 ? 1 : 0);
   }
+  if (std::holds_alternative<int64_t>(data_) &&
+      std::holds_alternative<int64_t>(other.data_)) {
+    // Exact: above 2^53 distinct integers share a double image.
+    const int64_t l = AsInt(), r = other.AsInt();
+    return l < r ? -1 : (l > r ? 1 : 0);
+  }
   const double l = NumericValue(), r = other.NumericValue();
   if (l < r) return -1;
   if (l > r) return 1;

@@ -59,13 +59,16 @@ class Value {
   bool TypeMatches(ColumnType type) const;
 
   /// Total ordering used by indexes and ORDER BY: NULL < numbers < strings;
-  /// numbers compare numerically across int/double.
+  /// two ints (or timestamps) compare exactly, an int and a double
+  /// numerically.
   int Compare(const Value& other) const;
 
   bool operator==(const Value& other) const { return Compare(other) == 0; }
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
-  /// Stable hash consistent with Compare (equal values hash equally).
+  /// Stable hash consistent with Compare (equal values hash equally;
+  /// ints hash through their double image, so ints above 2^53 can share
+  /// a hash and still compare unequal).
   uint64_t Hash() const;
 
   /// SQL-literal-ish rendering for logs and result dumps.

@@ -26,20 +26,23 @@ void PutU64(char* p, uint64_t v) { std::memcpy(p, &v, 8); }
 uint32_t GetU32(const char* p) { uint32_t v; std::memcpy(&v, p, 4); return v; }
 uint64_t GetU64(const char* p) { uint64_t v; std::memcpy(&v, p, 8); return v; }
 
-/// Builds one frame: crc | lsn | type | len | payload. The CRC covers
-/// everything after the CRC field; it stays 0 unless `checksum` (a log
-/// that is never replayed has no reader to check it).
-std::string BuildFrame(uint8_t type, uint64_t lsn, std::string_view payload,
-                       bool checksum) {
-  std::string frame(kWalFrameHeaderBytes, '\0');
-  PutU64(&frame[4], lsn);
-  frame[12] = static_cast<char>(type);
-  PutU32(&frame[13], static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
+/// Appends one frame to `out`: crc | lsn | type | len | payload. The CRC
+/// covers everything after the CRC field; it stays 0 unless `checksum`
+/// (a log that is never replayed has no reader to check it).
+void AppendFrame(uint8_t type, uint64_t lsn, std::string_view payload, bool checksum,
+                 std::string* out) {
+  const std::size_t at = out->size();
+  out->resize(at + kWalFrameHeaderBytes);
+  char* header = out->data() + at;
+  PutU32(header, 0);
+  PutU64(header + 4, lsn);
+  header[12] = static_cast<char>(type);
+  PutU32(header + 13, static_cast<uint32_t>(payload.size()));
+  out->append(payload);
   if (checksum) {
-    PutU32(&frame[0], rlscommon::Crc32c(frame.data() + 4, frame.size() - 4));
+    PutU32(out->data() + at,
+           rlscommon::Crc32c(out->data() + at + 4, out->size() - at - 4));
   }
-  return frame;
 }
 
 /// Full positional write with EINTR/partial-write handling. Returns 0 on
@@ -63,12 +66,12 @@ int PWriteAll(int fd, const char* p, std::size_t n, uint64_t offset,
 
 }  // namespace
 
-/// One parked committer. The frame is fully built at enqueue time
-/// (header + payload with the reserved LSN) so the leader's write is a
-/// plain concatenation. `done`/`status` are guarded by the Wal's
-/// group_mu_.
+/// One parked committer: its payload, copied before the enqueue lock is
+/// taken, and the LSN reserved under it. The leader frames the payload
+/// (header and CRC) straight into its batch buffer. `done`/`status` are
+/// guarded by the Wal's group_mu_.
 struct WalGroupWaiter {
-  std::string frame;
+  std::string payload;
   bool durable = false;
   std::chrono::microseconds penalty{0};
   uint64_t lsn = 0;  // 0 = no frame (no file, or nothing to write)
@@ -240,7 +243,9 @@ Status Wal::CheckpointLocked(uint64_t ckpt_lsn) {
                             std::strerror(errno));
   }
   file_bytes_ = 0;
-  Status s = AppendLocked(BuildFrame(kWalFrameCheckpoint, ckpt_lsn, {}, true));
+  std::string frame;
+  AppendFrame(kWalFrameCheckpoint, ckpt_lsn, {}, /*checksum=*/true, &frame);
+  Status s = AppendLocked(frame);
   if (!s.ok()) return s;
   s = SyncLocked();
   if (!s.ok()) return s;
@@ -298,14 +303,13 @@ Status Wal::CommitBegin(std::string_view payload, bool durable,
   auto waiter = std::make_unique<WalGroupWaiter>();
   waiter->durable = durable;
   waiter->penalty = penalty;
+  if (writes) waiter->payload.assign(payload);
   {
     std::lock_guard<std::mutex> lock(group_mu_);
     if (writes) {
       // LSNs are reserved in enqueue order under group_mu_, so the FIFO
       // queue keeps the on-disk frames LSN-sorted.
       waiter->lsn = lsn_reserve_.fetch_add(1, std::memory_order_relaxed) + 1;
-      waiter->frame =
-          BuildFrame(kWalFrameTxn, waiter->lsn, payload, options_.recovery);
     }
     queue_.push_back(waiter.get());
   }
@@ -365,12 +369,14 @@ void Wal::LeadLocked(std::unique_lock<std::mutex>& lock, WalGroupWaiter* own) {
     std::size_t bytes = 0;
     while (!queue_.empty() && batch.size() < options_.group_max_commits) {
       WalGroupWaiter* next = queue_.front();
-      if (!batch.empty() && bytes + next->frame.size() > options_.group_max_bytes) {
+      const std::size_t frame_bytes =
+          next->lsn > 0 ? kWalFrameHeaderBytes + next->payload.size() : 0;
+      if (!batch.empty() && bytes + frame_bytes > options_.group_max_bytes) {
         break;
       }
       queue_.pop_front();
       batch.push_back(next);
-      bytes += next->frame.size();
+      bytes += frame_bytes;
     }
     if (batch.empty()) {
       // Unreachable while own is queued, but never spin on a surprise.
@@ -395,20 +401,18 @@ Status Wal::WriteBatch(const std::vector<WalGroupWaiter*>& batch) {
         "WAL is poisoned after an earlier sync/write failure; restart and "
         "recover");
   }
-  std::string buf;
+  std::string& frames = batch_buf_;
+  frames.clear();
   uint64_t max_lsn = 0;
   bool durable = false;
   std::chrono::microseconds penalty{0};
   for (const WalGroupWaiter* member : batch) {
+    if (member->lsn > 0) {
+      AppendFrame(kWalFrameTxn, member->lsn, member->payload, options_.recovery, &frames);
+    }
     max_lsn = std::max(max_lsn, member->lsn);
     durable = durable || member->durable;
     penalty = std::max(penalty, member->penalty);
-  }
-  // A batch of one (always, at cap 1) is written straight from its frame.
-  std::string_view frames = batch.front()->frame;
-  if (batch.size() > 1) {
-    for (const WalGroupWaiter* member : batch) buf += member->frame;
-    frames = buf;
   }
   if (max_lsn > 0) {  // frames to write (a file is open)
     if (!options_.recovery && file_bytes_ > options_.recycle_bytes) {

@@ -18,9 +18,11 @@
 //   u32 len      payload length
 //   payload      logical record stream (rdb/wal_record.h)
 //
-// — reserves its LSN in enqueue order and parks on the group queue. The
-// first parked committer becomes the leader: it drains up to the batch
-// cap, appends the batch with ONE contiguous write, pays ONE fdatasync
+// — reserves its LSN in enqueue order and parks on the group queue (its
+// payload copied before the queue lock is taken). The first parked
+// committer becomes the leader: it drains up to the batch cap, frames
+// each member (header and CRC) into one buffer outside the queue lock,
+// appends the batch with ONE contiguous write, pays ONE fdatasync
 // and ONE modeled-disk penalty (the max of the members'), then wakes
 // the group with a shared status. The batch cap is the only scheduling
 // knob:
@@ -182,8 +184,8 @@ class Wal {
   rlscommon::Status Commit(std::string_view payload, bool durable,
                            std::chrono::microseconds penalty);
 
-  /// First half of Commit: reserves the commit's LSN and enqueues the
-  /// framed payload without blocking on any disk I/O (the caller may
+  /// First half of Commit: reserves the commit's LSN and enqueues a
+  /// copy of the payload without blocking on any disk I/O (the caller may
   /// still hold its own ordering lock). The returned status is the
   /// enqueue verdict — the commit's final status comes from
   /// CommitFinish. `ticket` must outlive the matching CommitFinish.
@@ -303,6 +305,7 @@ class Wal {
   std::atomic<bool> checkpoint_pending_{false};
   uint64_t file_bytes_ = 0;  // guarded by commit_mu_
   uint64_t last_lsn_ = 0;    // guarded by commit_mu_
+  std::string batch_buf_;    // a batch's frames; guarded by commit_mu_
   std::function<std::string(uint64_t*)> checkpoint_writer_;
 
   // Commit queue. Lock order: group_mu_ and commit_mu_ are never held

@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
+#include "rdb/table.h"
 
 namespace rdb {
 namespace {
@@ -29,12 +36,19 @@ TEST(HashIndexTest, MultimapSemantics) {
 }
 
 TEST(HashIndexTest, UniqueRejectsDuplicates) {
-  HashIndex index(IndexDeleteMode::kErase, /*unique=*/true);
-  EXPECT_TRUE(index.Insert(Value::String("key"), R(0, 0)));
-  EXPECT_FALSE(index.Insert(Value::String("key"), R(0, 1)));
+  // The index holds no keys, so its table enforces a unique hash index
+  // by comparing the candidates' heap rows.
+  BackendProfile profile;
+  Table table(TableSchema("t", {ColumnDef{"key", ColumnType::kVarchar, false, false, 50}}),
+              &profile);
+  ASSERT_TRUE(table.CreateIndex("by_key", "key", IndexKind::kHash, /*unique=*/true).ok());
+  Rid first, rid;
+  EXPECT_TRUE(table.Insert({Value::String("key")}, &first, nullptr).ok());
+  EXPECT_EQ(table.Insert({Value::String("key")}, &rid, nullptr).code(),
+            rlscommon::ErrorCode::kAlreadyExists);
   // After erasing, the key becomes insertable again.
-  index.Erase(Value::String("key"), R(0, 0));
-  EXPECT_TRUE(index.Insert(Value::String("key"), R(0, 2)));
+  ASSERT_TRUE(table.Delete(first).ok());
+  EXPECT_TRUE(table.Insert({Value::String("key")}, &rid, nullptr).ok());
 }
 
 TEST(HashIndexTest, EraseModeRemovesEntries) {
@@ -107,7 +121,7 @@ TEST(HashIndexTest, ClearDropsTombstones) {
 }
 
 TEST(HashIndexTest, GrowthKeepsLookupsCorrect) {
-  HashIndex index(IndexDeleteMode::kErase, false, 16);
+  HashIndex index(IndexDeleteMode::kErase, 16);
   for (int i = 0; i < 10000; ++i) index.Insert(Value::Int(i), R(0, i % 1000));
   EXPECT_GT(index.bucket_count(), 16u);
   std::vector<Rid> rids;
@@ -187,6 +201,80 @@ TEST(HashIndexTest, EraseHintsSurviveInterleavedInsertsAndDuplicateRids) {
   for (uint16_t i = 90; i < 100; ++i) index.Erase(Value::Int(1), R(1, i));
   for (uint16_t i = 0; i < 90; ++i) index.Erase(Value::Int(1), R(2, i));
   EXPECT_EQ(index.stats().live_entries, 0u);
+}
+
+TEST(HashIndexTest, MatchesMultimapOracle) {
+  // Seeded random inserts, erases (present and absent) and lookups from
+  // 16 buckets through several growths, against a std::multimap of
+  // (hash -> rid): Lookup must return exactly the rids whose hash
+  // matches. Key 7 takes a third of the inserts, so its chain is long
+  // and erases under it go through the hints. Keys 2^53 and 2^53 + 1
+  // share a hash.
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const std::vector<Value> keys = {Value::Int(7),        Value::Int(kBig),
+                                   Value::Int(kBig + 1), Value::String("a"),
+                                   Value::Int(-3),       Value::Double(2.5)};
+  auto sorted = [](std::vector<Rid> rids) {
+    std::sort(rids.begin(), rids.end());
+    return rids;
+  };
+  for (IndexDeleteMode mode : {IndexDeleteMode::kErase, IndexDeleteMode::kTombstone}) {
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", mode " +
+                   std::to_string(static_cast<int>(mode)));
+      rlscommon::Xoshiro256 rng(seed);
+      HashIndex index(mode, 16);
+      std::multimap<uint64_t, Rid> live, dead;
+      std::vector<std::pair<Value, Rid>> present;  // erase candidates
+      uint32_t next_rid = 0;
+      auto key_for = [&](uint64_t n) -> Value {
+        if (rng.Below(3) == 0) return keys[0];
+        if (n % 5 == 0) return keys[rng.Below(keys.size())];
+        return Value::Int(static_cast<int64_t>(100 + rng.Below(4000)));
+      };
+      auto check = [&](const Value& key) {
+        std::vector<Rid> want;
+        for (auto* m : {&live, &dead}) {
+          auto [lo, hi] = m->equal_range(key.Hash());
+          for (auto it = lo; it != hi; ++it) want.push_back(it->second);
+        }
+        std::vector<Rid> got;
+        index.Lookup(key, &got);
+        ASSERT_EQ(sorted(got), sorted(want)) << key.ToString();
+      };
+      for (uint64_t op = 0; op < 12000 && !HasFatalFailure(); ++op) {
+        const uint64_t dice = rng.Below(10);
+        if (dice < 5 || present.empty()) {
+          Value key = key_for(op);
+          const Rid rid = R(next_rid / 1000, static_cast<uint16_t>(next_rid % 1000));
+          ++next_rid;
+          index.Insert(key, rid);
+          live.emplace(key.Hash(), rid);
+          present.emplace_back(std::move(key), rid);
+        } else if (dice < 8) {
+          const std::size_t pick = rng.Below(present.size());
+          std::swap(present[pick], present.back());
+          const auto [key, rid] = present.back();
+          present.pop_back();
+          index.Erase(key, rid);
+          auto [lo, hi] = live.equal_range(key.Hash());
+          auto it = std::find_if(lo, hi, [&](const auto& e) { return e.second == rid; });
+          ASSERT_NE(it, hi);
+          if (mode == IndexDeleteMode::kTombstone) dead.emplace(*it);
+          live.erase(it);
+        } else if (dice < 9) {
+          index.Erase(key_for(op), R(9999, 0));  // absent: no-op
+        } else {
+          check(key_for(op));
+        }
+      }
+      EXPECT_GT(index.bucket_count(), 256u);
+      EXPECT_EQ(index.stats().live_entries, live.size());
+      EXPECT_EQ(index.stats().tombstones, dead.size());
+      for (const Value& key : keys) check(key);
+      for (int64_t k = 100; k < 4100 && !HasFatalFailure(); ++k) check(Value::Int(k));
+    }
+  }
 }
 
 TEST(OrderedIndexTest, EraseAmongEqualKeys) {

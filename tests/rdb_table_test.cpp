@@ -128,6 +128,48 @@ TEST_P(TableTest, VacuumPreservesLiveRows) {
   EXPECT_EQ(row[1].AsString(), "n75");
 }
 
+TEST_P(TableTest, IntKeysSharingAHashStayDistinct) {
+  // 2^53 and 2^53 + 1 share a double image, hence a hash: the unique
+  // index on id returns both rows as candidates for either key, and the
+  // table tells them apart by the heap row.
+  constexpr int64_t kBig = int64_t{1} << 53;
+  ASSERT_EQ(Value::Int(kBig).Hash(), Value::Int(kBig + 1).Hash());
+  ASSERT_NE(Value::Int(kBig).Compare(Value::Int(kBig + 1)), 0);
+  const Row a = {Value::Int(kBig), Value::String("a"), Value::Int(0)};
+  const Row b = {Value::Int(kBig + 1), Value::String("b"), Value::Int(0)};
+  Rid rid_a, rid;
+  ASSERT_TRUE(table_->Insert(a, &rid_a, nullptr).ok());
+  ASSERT_TRUE(table_->Insert(b, &rid, nullptr).ok());
+  EXPECT_EQ(table_->Insert({Value::Int(kBig), Value::String("dup"), Value::Int(0)}, &rid,
+                           nullptr)
+                .code(),
+            rlscommon::ErrorCode::kAlreadyExists);
+  std::vector<Rid> rids;
+  table_->FindHashIndex("id")->Lookup(Value::Int(kBig), &rids);
+  EXPECT_EQ(rids.size(), 2u);
+
+  // DeleteByValue skips the first candidate (a) and deletes b.
+  ASSERT_TRUE(table_->DeleteByValue(b).ok());
+  EXPECT_TRUE(table_->IsLive(rid_a));
+  EXPECT_EQ(table_->live_rows(), 1u);
+
+  // Updating c onto b's old value collides with a's hash and succeeds;
+  // updating it onto a's value is a duplicate.
+  Rid rid_c;
+  ASSERT_TRUE(table_->Insert(NameRow("c"), &rid_c, nullptr).ok());
+  Row c;
+  ASSERT_TRUE(table_->ReadRow(rid_c, &c).ok());
+  c[0] = Value::Int(kBig + 1);
+  ASSERT_TRUE(table_->Update(rid_c, c, &rid_c).ok());
+  c[0] = Value::Int(kBig);
+  EXPECT_EQ(table_->Update(rid_c, c, &rid).code(), rlscommon::ErrorCode::kAlreadyExists);
+
+  ASSERT_TRUE(table_->DeleteByValue(a).ok());
+  EXPECT_FALSE(table_->IsLive(rid_a));
+  ASSERT_TRUE(table_->IsLive(rid_c));
+  EXPECT_EQ(table_->live_rows(), 1u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Profiles, TableTest,
                          ::testing::Values(BackendKind::kMySQL,
                                            BackendKind::kPostgreSQL),

@@ -358,6 +358,37 @@ TEST_F(EngineTest, FailedUpdateLeavesTheTableUnchanged) {
   EXPECT_EQ(rs.at(1, 0).AsString(), "b");
 }
 
+TEST_F(EngineTest, IntKeysSharingAHashStayDistinct) {
+  // 2^53 and 2^53 + 1 share a hash: the index returns both rows for
+  // either key, and the = filter the hash level keeps picks one.
+  const int64_t big = int64_t{1} << 53;
+  Exec("CREATE TABLE t (k INT NOT NULL, v VARCHAR(10))");
+  Exec("CREATE UNIQUE INDEX idx_k ON t (k)");
+  Exec("INSERT INTO t (k, v) VALUES (?, 'a')", {Value::Int(big)});
+  Exec("INSERT INTO t (k, v) VALUES (?, 'b')", {Value::Int(big + 1)});
+  EXPECT_EQ(TryExec("INSERT INTO t (k, v) VALUES (?, 'x')", {Value::Int(big)}).code(),
+            ErrorCode::kAlreadyExists);
+  auto select = [&](int64_t k) { return Exec("SELECT v FROM t WHERE k = ?", {Value::Int(k)}); };
+  ResultSet rs = select(big);
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.at(0, 0).AsString(), "a");
+  rs = select(big + 1);
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.at(0, 0).AsString(), "b");
+
+  Exec("DELETE FROM t WHERE k = ?", {Value::Int(big + 1)});
+  Exec("INSERT INTO t (k, v) VALUES (5, 'c')");
+  EXPECT_EQ(Exec("UPDATE t SET k = ? WHERE v = 'c'", {Value::Int(big + 1)}).affected, 1u);
+  EXPECT_EQ(TryExec("UPDATE t SET k = ? WHERE v = 'c'", {Value::Int(big)}).code(),
+            ErrorCode::kAlreadyExists);
+  rs = select(big + 1);
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.at(0, 0).AsString(), "c");
+  rs = select(big);
+  ASSERT_EQ(rs.size(), 1u);
+  EXPECT_EQ(rs.at(0, 0).AsString(), "a");
+}
+
 /// The PostgreSQL profile through cached plans: index probes still walk
 /// tombstones and fetch dead tuples until VACUUM, and VACUUM changes
 /// costs, not results.

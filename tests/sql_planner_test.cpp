@@ -2,8 +2,11 @@
 // run index-to-index, and fallbacks must be visible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "sql/engine.h"
 #include "sql/parser.h"
+#include "sql/plan.h"
 
 namespace sql {
 namespace {
@@ -49,6 +52,35 @@ TEST_F(PlannerTest, PointLookupUsesHashIndex) {
   ResultSet rs = Exec("EXPLAIN SELECT * FROM t_lfn WHERE name = ?",
                       {Value::String("x")});
   EXPECT_EQ(PathFor(rs, "t_lfn"), "hash index on name (=)");
+}
+
+TEST_F(PlannerTest, HashLevelsKeepTheirEqualityAsAFilter) {
+  // A hash index returns every rid whose key hash matches; the = filter
+  // left on the level is what rejects a candidate with another key.
+  Statement stmt;
+  ASSERT_TRUE(Parse("SELECT t_map.pfn_id FROM t_lfn JOIN t_map ON t_lfn.id = t_map.lfn_id"
+                    " WHERE t_lfn.name = ?",
+                    &stmt)
+                  .ok());
+  Plan plan;
+  ASSERT_TRUE(BuildPlan(&db_, stmt, &plan).ok());
+  ASSERT_EQ(plan.levels.size(), 2u);
+  for (std::size_t l = 0; l < 2; ++l) {
+    const PlanLevel& level = plan.levels[l];
+    ASSERT_EQ(level.access, AccessKind::kHashEq) << l;
+    const std::string key_column = l == 0 ? "name" : "lfn_id";
+    const auto& columns = level.table->schema().columns();
+    const bool kept = std::any_of(
+        level.filters.begin(), level.filters.end(), [&](const PlanPredicate& p) {
+          const PlanOperand* col = p.lhs.kind == PlanOperand::Kind::kColumn &&
+                                           p.lhs.level == l
+                                       ? &p.lhs
+                                       : &p.rhs;
+          return p.op == CmpOp::kEq && col->kind == PlanOperand::Kind::kColumn &&
+                 col->level == l && columns[col->column].name == key_column;
+        });
+    EXPECT_TRUE(kept) << "level " << l << " lost its = " << key_column << " filter";
+  }
 }
 
 TEST_F(PlannerTest, UnindexedPredicateFallsBackToScan) {
